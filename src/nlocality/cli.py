@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,9 +24,10 @@ from .measurements import BlochObservable, parse_grouping
 from .network import (NLocalNetwork, SettingsBundle, TrilocalNetwork,
                       behavior, ivalue_table, local_score, swapped_state,
                       trilocal_score)
-from .optimize import (NoBracketError, OptimizerConfig, maximize_nlocal,
-                       maximize_trilocal, visibility_threshold)
-from .states import depolarized_ghz, ghz_n_state
+from .optimize import (_THRESHOLD_FAMILIES, NoBracketError, OptimizerConfig,
+                       maximize_nlocal, maximize_trilocal,
+                       visibility_threshold)
+from .states import ghz_n_state
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
@@ -58,7 +60,9 @@ def _add_common(parser):
     parser.add_argument("--tolerance", type=float, default=None)
     parser.add_argument("--search-groupings", action="store_true",
                         default=None, dest="search_groupings")
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="accepted and echoed in the report config; "
+                             "restarts always run serially")
 
 
 def _add_family(parser):
@@ -259,12 +263,7 @@ def cmd_violation(opts):
         groupings = families.family_groupings(family)
         search = cfg.search_groupings and settings_mode == "optimize"
         opt = maximize_trilocal((family, params),
-                                OptimizerConfig(
-                                    restarts=cfg.restarts,
-                                    max_iterations=cfg.max_iterations,
-                                    tolerance=cfg.tolerance, seed=cfg.seed,
-                                    search_groupings=search,
-                                    workers=cfg.workers),
+                                replace(cfg, search_groupings=search),
                                 groupings)
         bundle = opt.settings
         beh = behavior(net, bundle)
@@ -355,8 +354,9 @@ def cmd_scan(opts):
 
 def cmd_threshold(opts):
     family = opts.get("family")
-    if family not in ("depolarized", "amplitude", "phase"):
-        raise ConfigError("threshold families: depolarized, amplitude, phase")
+    if family not in _THRESHOLD_FAMILIES:
+        raise ConfigError("threshold families: %s"
+                          % ", ".join(_THRESHOLD_FAMILIES))
     cfg = _optimizer_config(opts)
     mode = opts.get("mode", "joint") or "joint"
     res = visibility_threshold(family, cfg, mode=mode)
@@ -468,12 +468,9 @@ def cmd_nlocal(opts):
         label = "ghz"
     else:
         epsilon = float(epsilon)
-        if n == 3:
-            source = depolarized_ghz(epsilon)
-        else:
-            g = ghz_n_state(n)
-            source = (epsilon * np.outer(g, g.conj())
-                      + (1 - epsilon) * np.eye(2 ** n) / 2 ** n)
+        g = ghz_n_state(n)
+        source = (epsilon * np.outer(g, g.conj())
+                  + (1 - epsilon) * np.eye(2 ** n) / 2 ** n)
         label = "depolarized"
     net = NLocalNetwork.from_states(n, [source] * n)
     opt = maximize_nlocal(net, cfg)

@@ -1,14 +1,22 @@
-"""Network assembly, exact Born-rule behaviors, I-values and scores.
+"""The network engine: exact Born-rule behaviors, I-values and scores.
 
-Trilocal scenario: three sources S1, S2, S3, each emitting three qubits, feed
-five parties.  Party order is A (1 qubit), B (3), C (3), D (1), T (1); A, D,
-T are extreme parties, B and C are intermediates.  Source order before
-wiring is [A, B1, C1 | B2, C2, D | B3, C3, T], so the destination of source
-qubits (0..8) is (0, 1, 4, 2, 5, 7, 3, 6, 8).
+The n-local star network has n sources of n qubits, n extreme parties
+A_1..A_n and n-1 intermediates B_1..B_{n-1}; source i sends qubit 0 to A_i
+and qubit j to B_j.  The network state is never built.  `_reduced_table`
+contracts the factored sources with one operator per intermediate (the
+identity or one of its observables) and leaves every extreme open, which
+gives a 2^n x 2^n reduced operator R on the extremes per choice tuple.
+Transfers (the entries without identity), behaviors (each extreme then
+contracted with I, A_0 or A_1) and swapped states (a signed sum of entries)
+all come from that table.
 
-The general n-local scenario has n sources of n qubits each, n extreme
-parties A_1..A_n and n-1 intermediates B_1..B_{n-1}; source i sends qubit 0
-to A_i and qubit j to B_j.
+The trilocal scenario is the n = 3 case.  Its three sources of three
+qubits feed five parties in the order A (1 qubit), B (3), C (3), D (1),
+T (1): (A, D, T) are the extremes A_1..A_3 and (B, C) the intermediates
+B_1, B_2, so the two party orders differ by the permutation [0, 3, 4, 1, 2]
+(its own inverse).  `assemble` and `_dense_behavior` build the dense
+512 x 512 state and apply the Born rule to it; they are the independent
+reference the engine is tested against, and no other path calls them.
 """
 
 import itertools
@@ -16,12 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron, normalized, partial_trace, permute_qubits
+from .linalg import kron, normalized, permute_qubits
 from .measurements import partial_ghz_observable
 
-WIRING = (0, 1, 4, 2, 5, 7, 3, 6, 8)
+# destination wire in party order [A | B | C | D | T] of each source qubit,
+# sources in role order (A, B1, C1 | D, B2, C2 | T, B3, C3)
+WIRING = (0, 1, 4, 7, 2, 5, 8, 3, 6)
+# trilocal party order (A, B, C, D, T) <-> n-local order (A, D, T, B, C)
+TRILOCAL_ORDER = (0, 3, 4, 1, 2)
 
-NORM_TOL = 1e-10
 NULL_EVENT_TOL = 1e-12
 ZERO_IVALUE_TOL = 1e-14
 
@@ -32,10 +43,6 @@ def _as_density(state):
         v = normalized(state)
         return np.outer(v, v.conj())
     return state
-
-
-def _is_vector(state):
-    return np.asarray(state).ndim == 1
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +117,17 @@ def ivalue_table(behavior):
     return np.stack([i0.reshape(shape), i1.reshape(shape)], axis=-1)
 
 
+def nlocal_i_value(behavior_, indices, k):
+    table = ivalue_table(behavior_)
+    return IValue(tuple(indices), k, float(table[tuple(indices) + (k,)]))
+
+
 def i_value(behavior, i1, i2, k):
     """Single trilocal I-value I_{i1, i2, k}."""
-    return IValue((i1, i2), k, float(ivalue_table(behavior)[i1, i2, k]))
+    return nlocal_i_value(behavior, (i1, i2), k)
 
 
 def _score_from_table(ivals, root):
-    n_int = ivals.ndim - 1
     a0 = np.abs(ivals[..., 0])
     a1 = np.abs(ivals[..., 1])
     a0 = np.where(a0 < ZERO_IVALUE_TOL, 0.0, a0)
@@ -128,192 +139,36 @@ def _score_from_table(ivals, root):
 
 
 def trilocal_score(behavior):
-    """Max over the 16 tuples of |I_{i1,i2,0}|^(1/3) + |I_{j1,j2,1}|^(1/3)."""
+    """Max over all tuples of |I_{i,0}|^(1/n) + |I_{j,1}|^(1/n), n extremes."""
     return _score_from_table(ivalue_table(behavior), len(behavior.extreme_parties))
 
 
 def local_score(behavior):
-    """Max over the 16 tuples of |I_{i1,i2,0}| + |I_{j1,j2,1}|."""
+    """Max over all tuples of |I_{i,0}| + |I_{j,1}|."""
     return _score_from_table(ivalue_table(behavior), 1)
 
 
-# ---------------------------------------------------------------------------
-# Expectation-table engines
-#
-# A behavior is reconstructed from the expectations of all operator subsets:
-# P(outcomes | settings) = 2^-p * sum over party subsets S of
-# (-1)^(outcomes . S) <prod_{i in S} O_i>.  The expectation table C is
-# indexed per party by 0 (identity), 1 (observable at setting 0) or
-# 2 (observable at setting 1).
-
-
-def _expectation_table_dense(rho, party_dims, party_ops):
-    p = len(party_dims)
-    rho_t = np.asarray(rho, dtype=complex).reshape(tuple(party_dims) * 2)
-    out = np.empty((3,) * p, dtype=complex)
-    for combo in itertools.product((0, 1, 2), repeat=p):
-        args = []
-        bra = list(range(p))
-        ket = [i + p if combo[i] else i for i in range(p)]
-        args.append(rho_t)
-        args.append(bra + ket)
-        for i, ch in enumerate(combo):
-            if ch:
-                args.append(np.asarray(party_ops[i][ch - 1], dtype=complex))
-                args.append([ket[i], bra[i]])
-        out[combo] = np.einsum(*args, [], optimize=True)
-    return out
-
-
-def _expectation_table_pure(psi, party_dims, party_ops):
-    p = len(party_dims)
-    psi_t = np.asarray(psi, dtype=complex).reshape(tuple(party_dims))
-    out = np.empty((3,) * p, dtype=complex)
-    flat = psi_t.reshape(-1)
-
-    def descend(vec, party, combo):
-        if party == p:
-            out[combo] = np.vdot(flat, vec.reshape(-1))
-            return
-        descend(vec, party + 1, combo + (0,))
-        for ch in (1, 2):
-            op = np.asarray(party_ops[party][ch - 1], dtype=complex)
-            moved = np.tensordot(op, vec, axes=([1], [party]))
-            moved = np.moveaxis(moved, 0, party)
-            descend(moved, party + 1, combo + (ch,))
-
-    descend(psi_t, 0, ())
-    return out
-
-
-def _walsh_matrix(p):
-    idx = np.arange(2 ** p)
-    pop = np.zeros((2 ** p, 2 ** p))
-    for o in idx:
-        pop[o] = [bin(o & s).count("1") for s in idx]
-    return (-1.0) ** pop
+nlocal_score = trilocal_score
+nlocal_local_score = local_score
 
 
 def _behavior_from_expectations(expect, p):
-    walsh = _walsh_matrix(p)
-    probs = np.empty((2,) * p + (2,) * p)
-    for setting in itertools.product((0, 1), repeat=p):
-        sel = expect
-        for axis, s in enumerate(setting):
-            sel = np.take(sel, (0, 1 + s), axis=axis)
-        vec = np.real(sel.reshape(-1))
-        probs[setting] = (walsh @ vec / 2 ** p).reshape((2,) * p)
-    return probs
+    """P(outcomes | settings) from the expectations of all operator subsets.
 
-
-# ---------------------------------------------------------------------------
-# Trilocal network
-
-
-@dataclass(frozen=True)
-class TrilocalNetwork:
-    """Three 3-qubit sources in literal order (rho_AB1C1, rho_B2C2D, rho_B3C3T)."""
-
-    source_states: tuple
-    pure_sources: tuple = None
-
-    @staticmethod
-    def from_states(s1, s2, s3):
-        states = (s1, s2, s3)
-        pure = None
-        if all(_is_vector(s) for s in states):
-            pure = tuple(normalized(np.asarray(s, dtype=complex)) for s in states)
-        return TrilocalNetwork(tuple(_as_density(s) for s in states), pure)
-
-    @staticmethod
-    def from_role_states(s1, s2, s3):
-        """Sources given in role order (extreme wire, B wire, C wire).
-
-        Source 1 already has its extreme (A) first; sources 2 and 3 are
-        reordered to the literal (B, C, extreme) qubit order.
-        """
-        to_literal = (2, 0, 1)
-        return TrilocalNetwork.from_states(
-            s1,
-            permute_qubits(np.asarray(s2, dtype=complex), to_literal),
-            permute_qubits(np.asarray(s3, dtype=complex), to_literal))
-
-    @staticmethod
-    def from_shared_state(state):
-        """All three sources emit the same role-ordered state."""
-        return TrilocalNetwork.from_role_states(state, state, state)
-
-
-def assemble(net):
-    """The 512x512 network state in party order [A | B | C | D | T]."""
-    full = kron(*net.source_states)
-    return permute_qubits(full, WIRING)
-
-
-def _assemble_pure(net):
-    full = net.pure_sources[0]
-    for s in net.pure_sources[1:]:
-        full = np.kron(full, s)
-    return permute_qubits(full, WIRING)
-
-
-@dataclass(frozen=True)
-class SettingsBundle:
-    """Two observables per party: Bloch pairs for A, D, T and GHZ groupings
-    for B and C."""
-
-    a: tuple
-    b: tuple
-    c: tuple
-    d: tuple
-    t: tuple
-
-    def party_operators(self):
-        def pair(obs):
-            return [o.matrix() for o in obs]
-
-        def gpair(groups):
-            return [partial_ghz_observable(g) for g in groups]
-
-        return [pair(self.a), gpair(self.b), gpair(self.c),
-                pair(self.d), pair(self.t)]
-
-
-TRILOCAL_DIMS = (2, 8, 8, 2, 2)
-TRILOCAL_EXTREMES = (0, 3, 4)
-TRILOCAL_INTERMEDIATES = (1, 2)
-
-
-def behavior(net, settings):
-    """Exact Born-rule behavior P(a,b,c,d,e | x,y,z,w,u)."""
-    ops = settings.party_operators()
-    if net.pure_sources is not None:
-        expect = _expectation_table_pure(_assemble_pure(net), TRILOCAL_DIMS, ops)
-    else:
-        expect = _expectation_table_dense(assemble(net), TRILOCAL_DIMS, ops)
-    probs = _behavior_from_expectations(expect, 5)
-    return Behavior(probs, TRILOCAL_EXTREMES, TRILOCAL_INTERMEDIATES)
-
-
-def swapped_state(net, settings, y, b_out, z, c_out):
-    """Conditional state of (A, D, T) given intermediate settings/outcomes.
-
-    Returns (chi, probability); raises on conditioning on a null event.
+    expect is indexed per party by 0 (identity), 1 (observable at setting
+    0) or 2 (observable at setting 1);
+    P = 2^-p * sum over party subsets S of (-1)^(outcomes . S) <prod_S O_i>.
     """
-    rho = assemble(net)
-    eye8 = np.eye(8, dtype=complex)
-    ob = partial_ghz_observable(settings.b[y])
-    oc = partial_ghz_observable(settings.c[z])
-    pi_b = (eye8 + (-1) ** b_out * ob) / 2
-    pi_c = (eye8 + (-1) ** c_out * oc) / 2
-    eye2 = np.eye(2, dtype=complex)
-    proj = kron(eye2, pi_b, pi_c, eye2, eye2)
-    sub = proj @ rho @ proj
-    prob = float(np.real(np.trace(sub)))
-    if prob < NULL_EVENT_TOL:
-        raise ValueError("conditioning on a null event (probability %g)" % prob)
-    chi = partial_trace(sub, 9, {0, 7, 8}) / prob
-    return chi, prob
+    t = np.real(expect)
+    # per party, (setting x, subset bit s) picks I or O_x, and the sign
+    # transform over s turns subsets into outcomes
+    pick = np.array([[0, 1], [0, 2]])
+    signs = np.array([[1.0, 1.0], [1.0, -1.0]]) / 2
+    for _ in range(p):
+        t = np.tensordot(np.take(t, pick, axis=0), signs, axes=([1], [1]))
+        t = np.moveaxis(t, 0, -2)
+    # axes (x_1, o_1, ..., x_p, o_p) -> (x_1..x_p, o_1..o_p)
+    return t.transpose(list(range(0, 2 * p, 2)) + list(range(1, 2 * p, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +182,6 @@ class NLocalNetwork:
 
     n: int
     source_states: tuple
-    pure_sources: tuple = None
 
     @staticmethod
     def from_states(n, states):
@@ -336,10 +190,7 @@ class NLocalNetwork:
         states = tuple(states)
         if len(states) != n:
             raise ValueError("expected %d source states" % n)
-        pure = None
-        if all(_is_vector(s) for s in states):
-            pure = tuple(normalized(np.asarray(s, dtype=complex)) for s in states)
-        return NLocalNetwork(n, tuple(_as_density(s) for s in states), pure)
+        return NLocalNetwork(n, tuple(_as_density(s) for s in states))
 
 
 @dataclass(frozen=True)
@@ -358,15 +209,14 @@ class NLocalSettings:
                 for pair in self.intermediates]
 
 
-def _contract_network(n, rho_tensors, int_ops, ext_ops):
-    """Contract the factored network with per-party operator choices.
+def _contract_network(n, rho_tensors, int_ops):
+    """Reduced operator on the extremes for one operator per intermediate.
 
     int_ops: list over intermediates B_1..B_{n-1} of a 2^n x 2^n matrix or
-    None for identity.  ext_ops: list over extremes of a 2x2 matrix, None
-    for identity, or the string "open" to leave that extreme's indices
-    uncontracted.  Returns a scalar, or with open extremes a tensor with
-    axes (ket_1..ket_n, bra_1..bra_n) of the open extremes so that the
-    expectation is sum(R * kron(extreme observables)).
+    None for identity.  Returns a tensor with axes (ket_1..ket_n,
+    bra_1..bra_n) of the extremes such that the expectation of the chosen
+    intermediate operators times extreme observables is
+    sum(R * kron(extreme observables)).
 
     The contraction order (source 1, then each intermediate operator, then
     the remaining sources) keeps every intermediate tensor small.
@@ -381,7 +231,7 @@ def _contract_network(n, rho_tensors, int_ops, ext_ops):
     def rho_ids(i):
         # identity intermediates tie ket to bra so einsum traces them out
         bra = [s_id(i, j) for j in range(n)]
-        ket = [t_id(i, 0) if ext_ops[i] is not None else s_id(i, 0)]
+        ket = [t_id(i, 0)]
         for j in range(1, n):
             ket.append(t_id(i, j) if int_ops[j - 1] is not None else s_id(i, j))
         return bra + ket
@@ -412,66 +262,43 @@ def _contract_network(n, rho_tensors, int_ops, ext_ops):
                    + [s_id(i, j) for i in range(n)])
     for i in range(1, n):
         absorb(rho_tensors[i], rho_ids(i))
-    for i in range(n):
-        op = ext_ops[i]
-        if op is not None and not isinstance(op, str):
-            absorb(np.asarray(op, dtype=complex), [t_id(i, 0), s_id(i, 0)])
-    is_open = [isinstance(op, str) for op in ext_ops]
-    open_ids = [t_id(i, 0) for i in range(n) if is_open[i]]
-    open_ids += [s_id(i, 0) for i in range(n) if is_open[i]]
-    if not open_ids:
-        return complex(np.einsum(cur, cur_ids, []))
+    open_ids = [t_id(i, 0) for i in range(n)] + [s_id(i, 0) for i in range(n)]
     return np.einsum(cur, cur_ids, open_ids)
 
 
-def _factored_expectation(n, rho_tensors, chosen_ops):
-    """<prod of chosen party operators> on the factored network state.
+def _reduced_table(net, choices):
+    """R[c_1..c_{n-1}] for every tuple of intermediate operator choices.
 
-    chosen_ops: list over parties (n extremes then n-1 intermediates) of an
-    operator matrix or None for identity.
+    choices[j] lists the operators (None for identity) of intermediate
+    B_{j+1}; R[c] is the 2^n x 2^n reduced operator of _contract_network.
     """
-    return _contract_network(n, rho_tensors, chosen_ops[n:], chosen_ops[:n])
-
-
-def _nlocal_rho_tensors(net):
-    return [np.asarray(s, dtype=complex).reshape((2,) * (2 * net.n))
-            for s in net.source_states]
+    n = net.n
+    rho_tensors = [np.asarray(s, dtype=complex).reshape((2,) * (2 * n))
+                   for s in net.source_states]
+    shape = tuple(len(c) for c in choices)
+    out = np.empty(shape + (2 ** n, 2 ** n), dtype=complex)
+    for idx in itertools.product(*map(range, shape)):
+        ops = [c[i] for c, i in zip(choices, idx)]
+        out[idx] = _contract_network(n, rho_tensors, ops).reshape(2 ** n,
+                                                                  2 ** n)
+    return out
 
 
 def nlocal_behavior(net, settings):
     """Behavior with parties ordered (A_1..A_n, B_1..B_{n-1})."""
     n = net.n
-    ext_ops = settings.extreme_operators()
-    int_ops = settings.intermediate_operators()
     p = 2 * n - 1
-    rho_tensors = _nlocal_rho_tensors(net)
-    expect = np.empty((3,) * p, dtype=complex)
-    for combo in itertools.product((0, 1, 2), repeat=p):
-        chosen = []
-        for i in range(n):
-            chosen.append(None if combo[i] == 0 else ext_ops[i][combo[i] - 1])
-        for j in range(n - 1):
-            ch = combo[n + j]
-            chosen.append(None if ch == 0 else int_ops[j][ch - 1])
-        expect[combo] = _factored_expectation(n, rho_tensors, chosen)
+    table = _reduced_table(net, [[None] + ops for ops in
+                                 settings.intermediate_operators()])
+    eye = np.eye(2, dtype=complex)
+    t = table.reshape((3,) * (n - 1) + (2,) * (2 * n))
+    for i, pair in enumerate(settings.extreme_operators()):
+        ops = np.array([eye] + pair, dtype=complex)
+        t = np.tensordot(t, ops, axes=([n - 1, 2 * n - 1 - i], [1, 2]))
+    # axes (B_1..B_{n-1}, A_1..A_n) -> party order
+    expect = np.moveaxis(t, range(n - 1), range(n, p))
     probs = _behavior_from_expectations(expect, p)
-    return Behavior(probs, tuple(range(n)), tuple(range(n, 2 * n - 1)))
-
-
-def nlocal_i_value(behavior_, indices, k):
-    table = ivalue_table(behavior_)
-    return IValue(tuple(indices), k, float(table[tuple(indices) + (k,)]))
-
-
-def nlocal_score(behavior_):
-    """Max over 4^(n-1) tuples of |I|^(1/n) + |J|^(1/n)."""
-    return _score_from_table(ivalue_table(behavior_),
-                             len(behavior_.extreme_parties))
-
-
-def nlocal_local_score(behavior_):
-    """Max over 4^(n-1) tuples of |I| + |J|."""
-    return _score_from_table(ivalue_table(behavior_), 1)
+    return Behavior(probs, tuple(range(n)), tuple(range(n, p)))
 
 
 def nlocal_transfers(net, settings):
@@ -481,15 +308,7 @@ def nlocal_transfers(net, settings):
     R[y_vec] a 2^n x 2^n operator such that the full correlator is
     sum_ab R[y_vec][a, b] * (A_{x_1} x ... x A_{x_n})[a, b].
     """
-    n = net.n
-    int_ops = settings.intermediate_operators()
-    rho_tensors = _nlocal_rho_tensors(net)
-    out = np.empty((2,) * (n - 1) + (2 ** n, 2 ** n), dtype=complex)
-    for yv in itertools.product((0, 1), repeat=n - 1):
-        chosen = [int_ops[j][yv[j]] for j in range(n - 1)]
-        r = _contract_network(n, rho_tensors, chosen, ["open"] * n)
-        out[yv] = r.reshape(2 ** n, 2 ** n)
-    return out
+    return _reduced_table(net, settings.intermediate_operators())
 
 
 def transfer_ivalues(n, transfers, ext_obs):
@@ -499,8 +318,8 @@ def transfer_ivalues(n, transfers, ext_obs):
     Returns an array indexed by intermediate tuple then parity bit k.
     """
     # axes: y_1..y_{n-1}, ket a_1..a_n, bra b_1..b_n; contract one party at
-    # a time with tensordot (cheaper than einsum inside the n-local
-    # optimizer loop, which calls this once per objective evaluation)
+    # a time (the optimizers score on a real correlation tensor instead;
+    # this runs once per result to report the I table)
     t = transfers.reshape((2,) * (n - 1) + (2,) * (2 * n))
     for i in range(n):
         t = np.tensordot(t, ext_obs[i], axes=([n - 1, 2 * n - 1 - i], [1, 2]))
@@ -513,44 +332,107 @@ def transfer_ivalues(n, transfers, ext_obs):
     return np.stack([i0.reshape(shape), i1.reshape(shape)], axis=-1)
 
 
-def trilocal_transfers(net, settings):
-    """Trilocal transfer tensors from the dense 512x512 assembled state."""
-    rho = assemble(net)
-    eye2 = np.eye(2, dtype=complex)
-    out = np.empty((2, 2) + (2,) * 6, dtype=complex)
-    for y in (0, 1):
-        ob = partial_ghz_observable(settings.b[y])
-        for z in (0, 1):
-            oc = partial_ghz_observable(settings.c[z])
-            op = kron(eye2, ob, oc, eye2, eye2)
-            prod = (rho @ op).reshape((2,) * 18)
-            m = np.einsum(prod,
-                          [0, 1, 2, 3, 4, 5, 6, 7, 8,
-                           9, 1, 2, 3, 4, 5, 6, 10, 11],
-                          [0, 7, 8, 9, 10, 11])
-            out[y, z] = m
-    return out
+# ---------------------------------------------------------------------------
+# Trilocal network: the n = 3 case
 
 
-def trilocal_transfer_ivalues(transfers, ext_obs):
-    """I[y, z, k] from trilocal transfer tensors.
+class TrilocalNetwork:
+    """Constructors of the trilocal network, an n = 3 NLocalNetwork."""
 
-    ext_obs has shape (3, 2, 2, 2) for parties (A, D, T); the transfer
-    index convention matches trilocal_transfers.
+    @staticmethod
+    def from_states(s1, s2, s3):
+        """Sources in literal order (rho_AB1C1, rho_B2C2D, rho_B3C3T)."""
+        to_role = (1, 2, 0)
+        return TrilocalNetwork.from_role_states(
+            s1,
+            permute_qubits(np.asarray(s2, dtype=complex), to_role),
+            permute_qubits(np.asarray(s3, dtype=complex), to_role))
+
+    @staticmethod
+    def from_role_states(s1, s2, s3):
+        """Sources in role order (extreme wire, B wire, C wire)."""
+        return NLocalNetwork.from_states(3, (s1, s2, s3))
+
+    @staticmethod
+    def from_shared_state(state):
+        """All three sources emit the same role-ordered state."""
+        return TrilocalNetwork.from_role_states(state, state, state)
+
+
+@dataclass(frozen=True)
+class SettingsBundle:
+    """Two observables per party: Bloch pairs for A, D, T and GHZ groupings
+    for B and C."""
+
+    a: tuple
+    b: tuple
+    c: tuple
+    d: tuple
+    t: tuple
+
+    def nlocal(self):
+        """The same settings in n-local order (A, D, T | B, C)."""
+        return NLocalSettings((self.a, self.d, self.t), (self.b, self.c))
+
+
+TRILOCAL_EXTREMES = (0, 3, 4)
+TRILOCAL_INTERMEDIATES = (1, 2)
+
+
+def behavior(net, settings):
+    """Exact Born-rule behavior P(a,b,c,d,e | x,y,z,w,u)."""
+    probs = nlocal_behavior(net, settings.nlocal()).probabilities
+    axes = list(TRILOCAL_ORDER) + [5 + i for i in TRILOCAL_ORDER]
+    return Behavior(probs.transpose(axes), TRILOCAL_EXTREMES,
+                    TRILOCAL_INTERMEDIATES)
+
+
+def swapped_state(net, settings, y, b_out, z, c_out):
+    """Conditional state of (A, D, T) given intermediate settings/outcomes.
+
+    Returns (chi, probability); raises on conditioning on a null event.
     """
-    # reference for the trilocal optimizer, which evaluates its objective
-    # on the real correlation tensor instead; it runs once per optimized
-    # result to report the I table
-    t2 = transfers.transpose(0, 1, 5, 2, 6, 3, 7, 4).reshape(4, 4, 4, 4)
-    o0 = ext_obs[0].reshape(2, 4)
-    o1 = ext_obs[1].reshape(2, 4)
-    o2 = ext_obs[2].reshape(2, 4)
-    t = (t2.reshape(64, 4) @ o2.T).reshape(4, 4, 4, 2)
-    t = (t.transpose(0, 1, 3, 2).reshape(32, 4) @ o1.T).reshape(4, 4, 2, 2)
-    t = (t.transpose(0, 2, 3, 1).reshape(16, 4) @ o0.T).reshape(4, 2, 2, 2)
-    corr = np.real(t)  # axes (yz), u, w, x
-    flat = corr.reshape(4, 8)
-    signs = np.array([(-1.0) ** bin(v).count("1") for v in range(8)])
-    i0 = (flat.sum(axis=1) / 8).reshape(2, 2)
-    i1 = ((flat @ signs) / 8).reshape(2, 2)
-    return np.stack([i0, i1], axis=-1)
+    # the projectors (I +- O)/2 act on B and C only, so the unnormalized
+    # state is the signed sum of the four (I or O_y) x (I or O_z) entries,
+    # transposed since R[a, b] pairs with observable entry [a, b]
+    ob = partial_ghz_observable(settings.b[y])
+    oc = partial_ghz_observable(settings.c[z])
+    r = _reduced_table(net, [[None, ob], [None, oc]])
+    sb, sc = (-1.0) ** b_out, (-1.0) ** c_out
+    sub = (r[0, 0] + sb * r[1, 0] + sc * r[0, 1] + sb * sc * r[1, 1]).T / 4
+    prob = float(np.real(np.trace(sub)))
+    if prob < NULL_EVENT_TOL:
+        raise ValueError("conditioning on a null event (probability %g)" % prob)
+    return sub / prob, prob
+
+
+# ---------------------------------------------------------------------------
+# Dense reference
+
+
+def assemble(net):
+    """The 512x512 state of an n = 3 network in party order [A|B|C|D|T]."""
+    return permute_qubits(kron(*net.source_states), WIRING)
+
+
+def _dense_behavior(net, settings):
+    """Born-rule behavior of the trilocal network from its dense state."""
+    s = settings
+    party_ops = [[o.matrix() for o in s.a],
+                 [partial_ghz_observable(g) for g in s.b],
+                 [partial_ghz_observable(g) for g in s.c],
+                 [o.matrix() for o in s.d], [o.matrix() for o in s.t]]
+    p = len(party_ops)
+    rho_t = assemble(net).reshape((2, 8, 8, 2, 2) * 2)
+    expect = np.empty((3,) * p, dtype=complex)
+    for combo in itertools.product((0, 1, 2), repeat=p):
+        bra = list(range(p))
+        ket = [i + p if combo[i] else i for i in range(p)]
+        args = [rho_t, bra + ket]
+        for i, ch in enumerate(combo):
+            if ch:
+                args += [np.asarray(party_ops[i][ch - 1], dtype=complex),
+                         [ket[i], bra[i]]]
+        expect[combo] = np.einsum(*args, [], optimize=True)
+    probs = _behavior_from_expectations(expect, p)
+    return Behavior(probs, TRILOCAL_EXTREMES, TRILOCAL_INTERMEDIATES)

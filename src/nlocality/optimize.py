@@ -9,7 +9,6 @@ network module remain unrestricted.  `maximize_local` is unrestricted.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,8 +18,7 @@ from . import families
 from .measurements import (BlochObservable, GHZGrouping, balanced_groupings,
                            coherent_groupings)
 from .network import (NLocalSettings, SettingsBundle, TrilocalNetwork,
-                      ZERO_IVALUE_TOL, nlocal_transfers, transfer_ivalues,
-                      trilocal_transfer_ivalues, trilocal_transfers)
+                      ZERO_IVALUE_TOL, nlocal_transfers, transfer_ivalues)
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -39,6 +37,8 @@ class OptimizerConfig:
     tolerance: float = 1e-9
     seed: int = 0
     search_groupings: bool = False
+    # accepted for configuration compatibility and ignored: restarts run
+    # serially, since threads do not speed up these small numpy calls
     workers: int = 1
 
     def __post_init__(self):
@@ -79,23 +79,27 @@ def angles_to_observables(angles):
 
 
 def _restricted_score(ivals, coherent_mask, root, share_tail=True):
-    """Best designed-inequality value from an I table.
+    """Best designed-inequality value from an I table, with its arg-max.
 
     ivals is indexed by the intermediate setting tuple then k; the first
     intermediate index runs over coherent_mask only, and with share_tail
     the remaining indices are shared between the two I-values of a pair.
     Without share_tail all index tuples are free (the plain score families).
+    Returns (score, tuple_k0, tuple_k1).
     """
     a = np.abs(ivals)
     a = np.where(a < ZERO_IVALUE_TOL, 0.0, a)
-    if coherent_mask is not None:
-        a = a[coherent_mask]
-    if share_tail:
-        best0 = a[..., 0].max(axis=0)
-        best1 = a[..., 1].max(axis=0)
-        return float(np.max(best0 ** (1.0 / root) + best1 ** (1.0 / root)))
-    return float(a[..., 0].max() ** (1.0 / root)
-                 + a[..., 1].max() ** (1.0 / root))
+    tuples = [t for t in itertools.product((0, 1), repeat=ivals.ndim - 1)
+              if t[0] in coherent_mask]
+    best, best_pair = -np.inf, None
+    for t0 in tuples:
+        for t1 in tuples:
+            if share_tail and t0[1:] != t1[1:]:
+                continue
+            val = a[t0 + (0,)] ** (1.0 / root) + a[t1 + (1,)] ** (1.0 / root)
+            if val > best:
+                best, best_pair = val, (t0, t1)
+    return (float(best),) + best_pair
 
 
 def _multistart(objective, dim, cfg, extra_starts=()):
@@ -106,29 +110,22 @@ def _multistart(objective, dim, cfg, extra_starts=()):
         x0[1::2] *= 2.0
         starts.append(x0)
     starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
-    evals = [0]
+    evals = 0
 
     def wrapped(x):
-        evals[0] += 1
+        nonlocal evals
+        evals += 1
         return -objective(x)
 
-    def run(x0):
+    best_val = best_x = None
+    for x0 in starts:
         res = minimize(wrapped, x0, method="Nelder-Mead",
                        options=dict(maxiter=cfg.max_iterations,
                                     xatol=1e-8, fatol=cfg.tolerance,
                                     adaptive=dim > 12))
-        return -res.fun, res.x
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(x0) for x0 in starts]
-    best_val, best_x = results[0]
-    for val, x in results[1:]:
-        if val > best_val + 1e-15:
-            best_val, best_x = val, x
-    return best_val, best_x, evals[0]
+        if best_x is None or -res.fun > best_val + 1e-15:
+            best_val, best_x = -res.fun, res.x
+    return best_val, best_x, evals
 
 
 def _angles_to_bloch_pairs(angles):
@@ -159,48 +156,60 @@ def _bundle(groupings, angles):
                           d=pairs[1], t=pairs[2])
 
 
-def _trilocal_objective(transfers, coherent_mask, root, share_tail):
-    """Score of 12 extreme angles for fixed trilocal transfers.
+def _nlocal_settings(groupings, angles):
+    return NLocalSettings(extremes=tuple(_angles_to_bloch_pairs(angles)),
+                          intermediates=tuple(tuple(p) for p in groupings))
 
-    Equals _restricted_score(trilocal_transfer_ivalues(transfers,
+
+def _objective(n, transfers, coherent_mask, root, share_tail):
+    """Score of 4n extreme angles for fixed n-local transfers.
+
+    Equals the score of _restricted_score(transfer_ivalues(n, transfers,
     angles_to_observables(angles)), coherent_mask, root, share_tail), but
-    evaluates the I-values on the real tensor C: the correlator is
+    evaluates the I-values on a real tensor C: the correlator is
     multilinear in the extreme Bloch vectors, so with m = (n_0 + n_1)/2 and
-    d = (n_0 - n_1)/2 per party, I[y, z, 0] is C contracted with
-    m_A x m_D x m_T and I[y, z, 1] with d_A x d_D x d_T.
+    d = (n_0 - n_1)/2 per party, I[y_vec, 0] is C contracted with
+    m_1 x ... x m_n and I[y_vec, 1] with d_1 x ... x d_n.
     """
-    # C[y, z, i, j, k] = Re tr(M_yz (s_i x s_j x s_k)) over the Pauli
-    # matrices on A, D and T; the three halvings of m and d fold into C as
-    # 1/8, exactly since it is a power of two
-    corr = np.einsum("yzadtADT,iAa,jDd,kTt->yzijk", transfers,
-                     _PAULIS, _PAULIS, _PAULIS, optimize=True).real
-    corr = (corr / 8).reshape(4, 27).T
-    # I-values come out flat at k * 4 + 2 * y + z; each group holds the
-    # (y, z) rows whose maxima form one scored pair
+    # C[y_vec, i_1..i_n] = Re sum R[y_vec] * (s_i1 x ... x s_in) over the
+    # Pauli matrices; the n halvings of m and d fold into C as 1/2^n,
+    # exactly since it is a power of two
+    t = transfers.reshape((2,) * (n - 1) + (2,) * (2 * n))
+    for i in range(n):
+        t = np.tensordot(t, _PAULIS, axes=([n - 1, 2 * n - 1 - i], [1, 2]))
+    rows = 2 ** (n - 1)
+    corr = (t.real / 2 ** n).reshape(rows, 3 ** n).T
+    # I-values come out flat at k * rows + y_vec (row-major), y_vec =
+    # (y_1, tail); each group holds the rows whose maxima form one pair
+    tails = range(rows // 2)
     if share_tail:
-        groups = [[2 * y + z for y in coherent_mask] for z in (0, 1)]
+        groups = [[y * len(tails) + r for y in coherent_mask] for r in tails]
     else:
-        groups = [[2 * y + z for y in coherent_mask for z in (0, 1)]]
-    pairs = [(g, [4 + r for r in g]) for g in groups]
+        groups = [[y * len(tails) + r for y in coherent_mask for r in tails]]
+    pairs = [(g, [rows + r for r in g]) for g in groups]
     inv_root = 1.0 / root
+    # party i's vectors broadcast along axis 1 + i of the outer product
+    slots = [(slice(None),) + (None,) * i + (slice(None),)
+             + (None,) * (n - 1 - i) + (i,) for i in range(n)]
 
     def objective(angles):
         s = np.sin(angles)
         c = np.cos(angles)
         st = s[0::2]
         # Bloch vectors: axes (x/y/z, 2 * party + setting)
-        n = np.array((st * c[1::2], st * s[1::2], c[0::2]))
-        n0 = n[:, 0::2]
-        n1 = n[:, 1::2]
-        v = np.array((n0 + n1, n0 - n1))  # axes (k, x/y/z, party)
-        prod = (v[:, :, None, None, 0] * v[:, None, :, None, 1]
-                * v[:, None, None, :, 2])
-        a = np.abs(prod.reshape(2, 27) @ corr).ravel().tolist()
+        b = np.array((st * c[1::2], st * s[1::2], c[0::2]))
+        b0 = b[:, 0::2]
+        b1 = b[:, 1::2]
+        v = np.array((b0 + b1, b0 - b1))  # axes (k, x/y/z, party)
+        prod = v[slots[0]]
+        for slot in slots[1:]:
+            prod = prod * v[slot]
+        a = np.abs(prod.reshape(2, -1) @ corr).ravel().tolist()
         best = 0.0
         for pair in pairs:
             total = 0.0
-            for rows in pair:
-                top = max(map(a.__getitem__, rows))
+            for group in pair:
+                top = max(map(a.__getitem__, group))
                 if top >= ZERO_IVALUE_TOL:
                     total += top ** inv_root
             best = max(best, total)
@@ -209,50 +218,39 @@ def _trilocal_objective(transfers, coherent_mask, root, share_tail):
     return objective
 
 
-def _trilocal_problem(net, groupings, restricted):
-    """Transfers, scored B settings, root and objective of a maximization.
+def _problem(net, groupings, restricted):
+    """Transfers, scored first-intermediate settings, root and objective.
 
-    restricted selects the designed family (coherent B settings, shared C
-    setting, root 3); otherwise every tuple is free and the root is 1.
+    restricted selects the designed family (coherent B_1 settings, shared
+    later settings, root n); otherwise every tuple is free and the root
+    is 1.
     """
-    transfers = trilocal_transfers(net, _bundle(groupings, np.zeros(12)))
+    n = net.n
+    transfers = nlocal_transfers(net, _nlocal_settings(groupings,
+                                                       np.zeros(4 * n)))
     if restricted:
         mask = [y for y in (0, 1) if groupings[0][y].is_coherent()] or [0, 1]
-        root = 3
+        root = n
     else:
         mask = [0, 1]
         root = 1
-    objective = _trilocal_objective(transfers, mask, root, restricted)
+    objective = _objective(n, transfers, mask, root, restricted)
     return transfers, mask, root, objective
 
 
+def _optimize(net, groupings, cfg, restricted, extra_starts=()):
+    """Multistart maximization; the result's settings are left to the
+    caller, which knows the scenario's settings type."""
+    transfers, mask, root, objective = _problem(net, groupings, restricted)
+    best, x, evals = _multistart(objective, 4 * net.n, cfg, extra_starts)
+    ivals = transfer_ivalues(net.n, transfers, angles_to_observables(x))
+    _, t0, t1 = _restricted_score(ivals, mask, root, share_tail=restricted)
+    return OptimizationResult(best, None, t0, t1, ivals, x, evals)
+
+
 def _trilocal_result(net, groupings, cfg, restricted):
-    transfers, mask, root, objective = _trilocal_problem(net, groupings,
-                                                         restricted)
-    best, x, evals = _multistart(objective, 12, cfg)
-    ivals = trilocal_transfer_ivalues(transfers, angles_to_observables(x))
-    t0, t1 = _argmax_pair(ivals, mask, root, share_tail=restricted)
-    return OptimizationResult(best, _bundle(groupings, x), t0, t1, ivals, x,
-                              evals)
-
-
-def _argmax_pair(ivals, mask, root, share_tail=True):
-    a = np.abs(ivals)
-    a = np.where(a < ZERO_IVALUE_TOL, 0.0, a)
-    n_int = ivals.ndim - 1
-    tuples = [t for t in itertools.product((0, 1), repeat=n_int)
-              if t[0] in mask]
-    best = -np.inf
-    best_pair = (tuples[0], tuples[0])
-    for t0 in tuples:
-        for t1 in tuples:
-            if share_tail and t0[1:] != t1[1:]:
-                continue
-            val = a[t0 + (0,)] ** (1.0 / root) + a[t1 + (1,)] ** (1.0 / root)
-            if val > best:
-                best = val
-                best_pair = (t0, t1)
-    return best_pair
+    result = _optimize(net, groupings, cfg, restricted)
+    return replace(result, settings=_bundle(groupings, result.angles))
 
 
 def maximize_trilocal(target, cfg=None, groupings=None):
@@ -334,11 +332,10 @@ def visibility_threshold(family, cfg=None, mode="joint", grid_points=9):
     def score_at(value):
         states = _threshold_states(family, value, mode)
         net = TrilocalNetwork.from_role_states(*states)
-        *_, objective = _trilocal_problem(net, groupings, restricted=True)
-        best, x, _ = _multistart(objective, 12, cfg, extra_starts=tuple(warm))
-        del warm[:]
-        warm.append(x)
-        return best
+        result = _optimize(net, groupings, cfg, restricted=True,
+                           extra_starts=tuple(warm))
+        warm[:] = [result.angles]
+        return result.score
 
     grid = np.linspace(0.0, 1.0, grid_points)
     scores = [score_at(v) for v in grid]
@@ -362,11 +359,6 @@ def visibility_threshold(family, cfg=None, mode="joint", grid_points=9):
                            float(below), float(above))
 
 
-def closed_form_bound(family, params):
-    """Reference formula value for the trilocal maximum of a family."""
-    return families.closed_form_bound(family, dict(params))
-
-
 # ---------------------------------------------------------------------------
 # n-local optimization
 
@@ -385,23 +377,7 @@ def default_nlocal_groupings(n):
 def maximize_nlocal(net, cfg=None, groupings=None):
     """Maximize the designed n-local inequality family for a network."""
     cfg = cfg or OptimizerConfig()
-    n = net.n
     if groupings is None:
-        groupings = default_nlocal_groupings(n)
-    settings = NLocalSettings(
-        extremes=tuple(_angles_to_bloch_pairs(np.zeros(4 * n))),
-        intermediates=tuple(tuple(pair) for pair in groupings))
-    transfers = nlocal_transfers(net, settings)
-    first = groupings[0]
-    mask = [y for y in (0, 1) if first[y].is_coherent()] or [0, 1]
-
-    def objective(angles):
-        ivals = transfer_ivalues(n, transfers, angles_to_observables(angles))
-        return _restricted_score(ivals, mask, n)
-
-    best, x, evals = _multistart(objective, 4 * n, cfg)
-    ivals = transfer_ivalues(n, transfers, angles_to_observables(x))
-    t0, t1 = _argmax_pair(ivals, mask, n)
-    final = NLocalSettings(extremes=tuple(_angles_to_bloch_pairs(x)),
-                           intermediates=tuple(tuple(p) for p in groupings))
-    return OptimizationResult(best, final, t0, t1, ivals, x, evals)
+        groupings = default_nlocal_groupings(net.n)
+    result = _optimize(net, groupings, cfg, restricted=True)
+    return replace(result, settings=_nlocal_settings(groupings, result.angles))

@@ -14,7 +14,7 @@ from nlocality.families import family_groupings, family_state
 from nlocality.lhv import appendix_b_behavior, enumerate_deterministic
 from nlocality.measurements import BlochObservable, balanced_groupings
 from nlocality.network import (NLocalNetwork, NLocalSettings, SettingsBundle,
-                               TrilocalNetwork, behavior, ivalue_table,
+                               TrilocalNetwork, _dense_behavior, ivalue_table,
                                nlocal_behavior, swapped_state, trilocal_score)
 from nlocality.optimize import (OptimizerConfig, maximize_local,
                                 maximize_nlocal, maximize_trilocal,
@@ -160,7 +160,8 @@ def test_acceptance_9_nlocal_consistency_n3():
                        for _ in range(2))
         a, d, t = (random_pair(rng) for _ in range(3))
         tri_net = TrilocalNetwork.from_role_states(*states)
-        tri = behavior(tri_net, SettingsBundle(a, b_pair, c_pair, d, t))
+        # the dense 512x512 Born rule is the independent reference
+        tri = _dense_behavior(tri_net, SettingsBundle(a, b_pair, c_pair, d, t))
         n_net = NLocalNetwork.from_states(3, states)
         nlo = nlocal_behavior(n_net, NLocalSettings((a, d, t),
                                                     (b_pair, c_pair)))

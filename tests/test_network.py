@@ -1,18 +1,27 @@
 """Tests for network assembly, behaviors, scores, and swapped states."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlocality.linalg import partial_trace
-from nlocality.measurements import (BlochObservable, parse_grouping,
+from nlocality import network
+from nlocality.cli import main
+from nlocality.linalg import kron, partial_trace
+from nlocality.measurements import (BlochObservable, balanced_groupings,
+                                    parse_grouping, partial_ghz_observable,
                                     table1_settings)
 from nlocality.network import (Behavior, NLocalNetwork, NLocalSettings,
-                               SettingsBundle, TrilocalNetwork, assemble,
-                               behavior, i_value, ivalue_table, local_score,
-                               nlocal_behavior, nlocal_score, swapped_state,
-                               trilocal_score)
+                               SettingsBundle, TrilocalNetwork,
+                               _dense_behavior, assemble, behavior, i_value,
+                               ivalue_table, local_score, nlocal_behavior,
+                               nlocal_score, nlocal_transfers, swapped_state,
+                               transfer_ivalues, trilocal_score)
+from nlocality.optimize import (OptimizerConfig, default_nlocal_groupings,
+                                maximize_trilocal, visibility_threshold)
 from nlocality.states import depolarized_ghz, gghz_state, ghz_n_state
 
 SX_PAIR = (BlochObservable(np.pi / 2, 0.0), BlochObservable(np.pi / 2, 0.0))
@@ -157,3 +166,138 @@ def test_nlocal_mixed_sources_accepted():
                               ((b1, b2), (c1, c2)))
     beh = nlocal_behavior(net, settings)
     assert nlocal_score(beh).score <= 2.0
+
+
+def random_density(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def dense_swapped_state(net, settings_, y, b_out, z, c_out):
+    """(I +- O)/2 projectors applied to the dense 512x512 state."""
+    eye8 = np.eye(8)
+    pi_b = (eye8 + (-1) ** b_out * partial_ghz_observable(settings_.b[y])) / 2
+    pi_c = (eye8 + (-1) ** c_out * partial_ghz_observable(settings_.c[z])) / 2
+    proj = kron(np.eye(2), pi_b, pi_c, np.eye(2), np.eye(2))
+    sub = proj @ assemble(net) @ proj
+    prob = float(np.real(np.trace(sub)))
+    return partial_trace(sub, 9, {0, 7, 8}) / prob, prob
+
+
+def assert_valid_behavior(probs, p):
+    assert np.all(probs >= -1e-12)
+    totals = probs.reshape(2 ** p, 2 ** p).sum(axis=1)
+    assert np.allclose(totals, 1.0, atol=1e-12)
+    # no-signalling: summing out one party's outcome leaves a marginal
+    # that does not depend on that party's setting
+    for i in range(p):
+        marginal = probs.sum(axis=p + i)
+        assert np.abs(np.diff(marginal, axis=i)).max() <= 1e-12
+
+
+ANGLES = st.floats(0.0, 2 * np.pi)
+GROUPINGS = st.sampled_from(balanced_groupings(3))
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       angles=st.lists(ANGLES, min_size=12, max_size=12),
+       groupings=st.lists(GROUPINGS, min_size=4, max_size=4))
+def test_engine_matches_dense_reference(seed, angles, groupings):
+    rng = np.random.default_rng(seed)
+    net = TrilocalNetwork.from_role_states(
+        *(random_density(rng, 8) for _ in range(3)))
+    pairs = [(BlochObservable(*angles[i:i + 2]),
+              BlochObservable(*angles[i + 2:i + 4])) for i in (0, 4, 8)]
+    bundle = SettingsBundle(pairs[0], tuple(groupings[:2]),
+                            tuple(groupings[2:]), pairs[1], pairs[2])
+    ref = _dense_behavior(net, bundle)
+    beh = behavior(net, bundle)
+    assert np.abs(beh.probabilities - ref.probabilities).max() <= 1e-12
+    assert_valid_behavior(beh.probabilities, 5)
+    nlocal = bundle.nlocal()
+    ivals = transfer_ivalues(3, nlocal_transfers(net, nlocal),
+                             np.array(nlocal.extreme_operators()))
+    assert np.abs(ivals - ivalue_table(ref)).max() <= 1e-12
+    for y, z, b_out, c_out in itertools.product((0, 1), repeat=4):
+        chi_ref, prob_ref = dense_swapped_state(net, bundle, y, b_out, z,
+                                                c_out)
+        chi, prob = swapped_state(net, bundle, y, b_out, z, c_out)
+        assert abs(prob - prob_ref) <= 1e-12
+        assert np.abs(chi - chi_ref).max() <= 1e-12
+
+
+def test_literal_and_role_source_orders_agree():
+    rng = np.random.default_rng(4)
+    states = [random_density(rng, 8) for _ in range(3)]
+    literal = [states[0]] + [network.permute_qubits(s, (2, 0, 1))
+                             for s in states[1:]]
+    bundle = random_bundle(rng)
+    by_role = behavior(TrilocalNetwork.from_role_states(*states), bundle)
+    by_literal = behavior(TrilocalNetwork.from_states(*literal), bundle)
+    assert np.array_equal(by_role.probabilities, by_literal.probabilities)
+
+
+def loop_behavior_from_expectations(expect, p):
+    """One Walsh transform per setting tuple: the loop reference."""
+    idx = np.arange(2 ** p)
+    walsh = np.array([[(-1.0) ** bin(o & s).count("1") for s in idx]
+                      for o in idx])
+    probs = np.empty((2,) * (2 * p))
+    for setting in itertools.product((0, 1), repeat=p):
+        sel = expect
+        for axis, x in enumerate(setting):
+            sel = np.take(sel, (0, 1 + x), axis=axis)
+        vec = np.real(sel.reshape(-1))
+        probs[setting] = (walsh @ vec / 2 ** p).reshape((2,) * p)
+    return probs
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_behavior_from_expectations_matches_loop(p):
+    rng = np.random.default_rng(p)
+    expect = rng.normal(size=(3,) * p) + 1j * rng.normal(size=(3,) * p)
+    fast = network._behavior_from_expectations(expect, p)
+    reference = loop_behavior_from_expectations(expect, p)
+    assert np.abs(fast - reference).max() <= 2 ** p * np.finfo(float).eps
+
+
+def test_nlocal_behavior_n4_matches_transfers():
+    rng = np.random.default_rng(6)
+    net = NLocalNetwork.from_states(
+        4, [random_density(rng, 16) for _ in range(4)])
+    pairs = tuple((BlochObservable(*rng.uniform(0, np.pi, 2)),
+                   BlochObservable(*rng.uniform(0, np.pi, 2)))
+                  for _ in range(4))
+    settings_ = NLocalSettings(pairs, default_nlocal_groupings(4))
+    beh = nlocal_behavior(net, settings_)
+    assert beh.probabilities.shape == (2,) * 14
+    totals = beh.probabilities.reshape(2 ** 7, 2 ** 7).sum(axis=1)
+    assert np.allclose(totals, 1.0, atol=1e-12)
+    ivals = transfer_ivalues(4, nlocal_transfers(net, settings_),
+                             np.array(settings_.extreme_operators()))
+    assert np.abs(ivalue_table(beh) - ivals).max() <= 1e-12
+
+
+def test_no_production_path_builds_the_dense_state(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the dense network state was built")
+
+    monkeypatch.setattr(network, "assemble", refuse)
+    monkeypatch.setattr(network, "_dense_behavior", refuse)
+    b1, b2, c1, c2 = table1_settings()
+    settings_path = tmp_path / "settings.json"
+    settings_path.write_text(json.dumps({
+        "a": [[0.3, 0.1], [1.2, 2.0]], "b": [b1.to_string(), b2.to_string()],
+        "c": [c1.to_string(), c2.to_string()],
+        "d": [[0.5, 0.7], [2.1, 0.4]], "t": [[1.0, 3.0], [0.2, 5.0]]}))
+    runs = [["violation", "--family", "depolarized", "--epsilon", "0.9",
+             "--settings", "file", "--settings-file", str(settings_path)],
+            ["swap", "--family", "amplitude", "--gamma", "0.2"],
+            ["nlocal", "--n", "3", "--restarts", "1", "--seed", "0"]]
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--output", str(tmp_path / ("%d.json" % i))]) == 0
+    cfg = OptimizerConfig(restarts=1, seed=0)
+    assert maximize_trilocal(("gghz", {"alpha": 0.5}), cfg).score > 0
+    assert visibility_threshold("depolarized", cfg).bracket_width <= 1e-4

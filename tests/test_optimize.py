@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from nlocality.families import family_groupings, family_state
-from nlocality.network import TrilocalNetwork, trilocal_transfer_ivalues
-from nlocality.optimize import (OptimizerConfig, _restricted_score,
-                                _trilocal_problem, angles_to_observables,
+from nlocality.network import (NLocalNetwork, TrilocalNetwork,
+                               transfer_ivalues)
+from nlocality.optimize import (OptimizerConfig, _problem, _restricted_score,
+                                angles_to_observables,
                                 default_nlocal_groupings, maximize_local,
                                 maximize_trilocal, visibility_threshold)
+from nlocality.states import ghz_n_state
 
 
 def test_config_validation():
@@ -33,6 +35,25 @@ def test_angles_to_observables():
             assert np.allclose(m @ m, np.eye(2), atol=1e-12)
 
 
+def assert_objective_matches_reference(net, groupings, restricted):
+    """The tensor objective equals transfer_ivalues + _restricted_score."""
+    transfers, mask, root, objective = _problem(net, groupings, restricted)
+    assert root == (net.n if restricted else 1)
+    rng = np.random.default_rng(5)
+    for angles in rng.uniform(0.0, 2 * np.pi, (200, 4 * net.n)):
+        ivals = transfer_ivalues(net.n, transfers,
+                                 angles_to_observables(angles))
+        expected, _, _ = _restricted_score(ivals, mask, root,
+                                           share_tail=restricted)
+        assert abs(objective(angles) - expected) <= 1e-12
+
+
+def random_density(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 @pytest.mark.parametrize("family, params", [
     ("gghz", {"alpha": 0.5}),
     ("biseparable", {"eta": 0.6, "sigma1": 0.3}),
@@ -42,15 +63,22 @@ def test_angles_to_observables():
 @pytest.mark.parametrize("restricted", [True, False])
 def test_trilocal_objective_matches_reference(family, params, restricted):
     net = TrilocalNetwork.from_shared_state(family_state(family, params))
-    transfers, mask, root, objective = _trilocal_problem(
-        net, family_groupings(family), restricted)
-    assert root == (3 if restricted else 1)
-    rng = np.random.default_rng(5)
-    for angles in rng.uniform(0.0, 2 * np.pi, (200, 12)):
-        ivals = trilocal_transfer_ivalues(transfers,
-                                          angles_to_observables(angles))
-        expected = _restricted_score(ivals, mask, root, share_tail=restricted)
-        assert abs(objective(angles) - expected) <= 1e-12
+    assert_objective_matches_reference(net, family_groupings(family),
+                                       restricted)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("source", ["ghz", "mixed"])
+@pytest.mark.parametrize("restricted", [True, False])
+def test_nlocal_objective_matches_reference(n, source, restricted):
+    if source == "ghz":
+        states = [ghz_n_state(n)] * n
+    else:
+        rng = np.random.default_rng(n)
+        states = [random_density(rng, 2 ** n) for _ in range(n)]
+    net = NLocalNetwork.from_states(n, states)
+    assert_objective_matches_reference(net, default_nlocal_groupings(n),
+                                       restricted)
 
 
 def test_optimizer_is_deterministic():
@@ -63,6 +91,7 @@ def test_optimizer_is_deterministic():
 
 
 def test_workers_do_not_change_result():
+    # workers is accepted for compatibility and has no effect
     base = maximize_trilocal(("gghz", {"alpha": 0.4}),
                              OptimizerConfig(restarts=4, seed=3))
     threaded = maximize_trilocal(("gghz", {"alpha": 0.4}),
