@@ -39,6 +39,8 @@ def separability_check(rho):
     Criterion 2: |rho_{1,8}| <= (rho_{1,1} rho_{4,4} prod_{i=4..7} rho_{i,i})^(1/6).
     Indices are 1-based matrix positions on the 8x8 three-qubit matrix.
     Violation of either proves entanglement; satisfying both is inconclusive.
+    Diagonal entries below SEP_TOL in magnitude count as zero: the sixth
+    root would turn their rounding residue into a right side of ~1e-3.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (8, 8):
@@ -46,6 +48,7 @@ def separability_check(rho):
     if abs(np.trace(rho) - 1.0) > 1e-10:
         raise ValueError("input has non-unit trace")
     d = np.real(np.diag(rho))
+    d = np.where(np.abs(d) < SEP_TOL, 0.0, d)
     lhs = abs(rho[0, 7])
     rhs1 = float(np.prod(d[1:7])) ** (1 / 6) if np.all(d[1:7] >= 0) else 0.0
     prod2 = d[0] * d[3] * d[3] * d[4] * d[5] * d[6]

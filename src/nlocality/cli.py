@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -32,19 +31,9 @@ from .states import ghz_n_state
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
-WORKERS_ENV = "NLOCALITY_WORKERS"
-
 
 class ConfigError(Exception):
     pass
-
-
-def _default_workers():
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _add_common(parser):
@@ -158,7 +147,7 @@ def _optimizer_config(opts):
         tolerance=float(opts.get("tolerance", 1e-9)),
         seed=int(opts.get("seed", 0)),
         search_groupings=bool(opts.get("search_groupings", False)),
-        workers=int(opts.get("workers", _default_workers())))
+        workers=int(opts.get("workers", 1)))
 
 
 def _family_point(opts):

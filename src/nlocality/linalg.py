@@ -92,11 +92,6 @@ def hermitian_eigenvalues(m):
     return np.linalg.eigvalsh(m)
 
 
-def projector(vec):
-    vec = np.asarray(vec, dtype=complex)
-    return np.outer(vec, vec.conj())
-
-
 def normalized(vec, tol=1e-12):
     vec = np.asarray(vec, dtype=complex)
     n = np.linalg.norm(vec)

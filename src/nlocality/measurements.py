@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ORTHO_TOL = 1e-12
-
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)

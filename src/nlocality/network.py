@@ -24,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron, normalized, permute_qubits
+from .linalg import (HERMITICITY_TOL, hermitian_eigenvalues, kron, normalized,
+                     permute_qubits)
 from .measurements import partial_ghz_observable
+from .states import TRACE_TOL
 
 # destination wire in party order [A | B | C | D | T] of each source qubit,
 # sources in role order (A, B1, C1 | D, B2, C2 | T, B3, C3)
@@ -37,11 +39,22 @@ NULL_EVENT_TOL = 1e-12
 ZERO_IVALUE_TOL = 1e-14
 
 
-def _as_density(state):
+def _as_density(state, dim):
+    """A source density matrix from a state vector (normalized here) or a
+    density matrix, which must be Hermitian, of unit trace and positive."""
     state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
+    if state.shape == (dim,):
         v = normalized(state)
         return np.outer(v, v.conj())
+    if state.shape != (dim, dim):
+        raise ValueError("source state of shape %s, expected (%d,) or "
+                         "(%d, %d)" % (state.shape, dim, dim, dim))
+    eigs = hermitian_eigenvalues(state)
+    if abs(np.trace(state) - 1.0) > TRACE_TOL:
+        raise ValueError("source state has trace %r, not 1"
+                         % complex(np.trace(state)))
+    if eigs[0] < -HERMITICITY_TOL:
+        raise ValueError("source state has eigenvalue %g < 0" % eigs[0])
     return state
 
 
@@ -190,7 +203,8 @@ class NLocalNetwork:
         states = tuple(states)
         if len(states) != n:
             raise ValueError("expected %d source states" % n)
-        return NLocalNetwork(n, tuple(_as_density(s) for s in states))
+        return NLocalNetwork(n, tuple(_as_density(s, 2 ** n)
+                                      for s in states))
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import families
-from .measurements import (BlochObservable, GHZGrouping, balanced_groupings,
-                           coherent_groupings)
+from .measurements import (_SX, _SY, _SZ, BlochObservable, GHZGrouping,
+                           balanced_groupings, coherent_groupings)
 from .network import (NLocalSettings, SettingsBundle, TrilocalNetwork,
                       ZERO_IVALUE_TOL, nlocal_transfers, transfer_ivalues)
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULIS = np.stack([_SX, _SY, _SZ])
 
 
@@ -102,14 +99,12 @@ def _restricted_score(ivals, coherent_mask, root, share_tail=True):
     return (float(best),) + best_pair
 
 
-def _multistart(objective, dim, cfg, extra_starts=()):
-    rng = np.random.default_rng(cfg.seed)
-    starts = []
-    for _ in range(cfg.restarts):
-        x0 = rng.uniform(0.0, np.pi, dim)
-        x0[1::2] *= 2.0
-        starts.append(x0)
-    starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
+def _multistart(objective, dim, cfg, rng, extra_starts=()):
+    """Best Nelder-Mead maximum from cfg.restarts starts drawn from rng
+    (theta in [0, pi), phi in [0, 2 pi)) and then the extra starts."""
+    starts = rng.uniform(0.0, np.pi, (cfg.restarts, dim))
+    starts[:, 1::2] *= 2.0
+    starts = list(starts) + [np.asarray(s, dtype=float) for s in extra_starts]
     evals = 0
 
     def wrapped(x):
@@ -238,18 +233,20 @@ def _problem(net, groupings, restricted):
     return transfers, mask, root, objective
 
 
-def _optimize(net, groupings, cfg, restricted, extra_starts=()):
+def _optimize(net, groupings, cfg, restricted, rng, extra_starts=()):
     """Multistart maximization; the result's settings are left to the
-    caller, which knows the scenario's settings type."""
+    caller, which knows the scenario's settings type.  rng is the start
+    stream of the calling search, created once from cfg.seed."""
     transfers, mask, root, objective = _problem(net, groupings, restricted)
-    best, x, evals = _multistart(objective, 4 * net.n, cfg, extra_starts)
+    best, x, evals = _multistart(objective, 4 * net.n, cfg, rng,
+                                 extra_starts)
     ivals = transfer_ivalues(net.n, transfers, angles_to_observables(x))
     _, t0, t1 = _restricted_score(ivals, mask, root, share_tail=restricted)
     return OptimizationResult(best, None, t0, t1, ivals, x, evals)
 
 
-def _trilocal_result(net, groupings, cfg, restricted):
-    result = _optimize(net, groupings, cfg, restricted)
+def _trilocal_result(net, groupings, cfg, restricted, rng):
+    result = _optimize(net, groupings, cfg, restricted, rng)
     return replace(result, settings=_bundle(groupings, result.angles))
 
 
@@ -262,8 +259,9 @@ def maximize_trilocal(target, cfg=None, groupings=None):
     candidate (coherence groupings for B, balanced for C).
     """
     cfg = cfg or OptimizerConfig()
+    rng = np.random.default_rng(cfg.seed)
     net, groupings = _resolve_trilocal(target, groupings)
-    result = _trilocal_result(net, groupings, cfg, restricted=True)
+    result = _trilocal_result(net, groupings, cfg, True, rng)
     if not cfg.search_groupings:
         return result
     inner = replace(cfg, restarts=max(4, cfg.restarts // 8),
@@ -278,12 +276,12 @@ def maximize_trilocal(target, cfg=None, groupings=None):
                 trial_side = list(trial[side])
                 trial_side[slot] = cand
                 trial[side] = tuple(trial_side)
-                r = _trilocal_result(net, tuple(trial), inner, restricted=True)
+                r = _trilocal_result(net, tuple(trial), inner, True, rng)
                 if r.score > result.score + 1e-9:
                     result = r
                     current[side][slot] = cand
     final = _trilocal_result(net, (tuple(current[0]), tuple(current[1])),
-                             cfg, restricted=True)
+                             cfg, True, rng)
     return final if final.score >= result.score else result
 
 
@@ -291,71 +289,60 @@ def maximize_local(target, cfg=None, groupings=None):
     """Maximize the local score |I| + |J| over all 16 tuples (unrestricted)."""
     cfg = cfg or OptimizerConfig()
     net, groupings = _resolve_trilocal(target, groupings)
-    return _trilocal_result(net, groupings, cfg, restricted=False)
+    return _trilocal_result(net, groupings, cfg, False,
+                            np.random.default_rng(cfg.seed))
 
 
+# family: (noise parameter, its noiseless value)
 _THRESHOLD_FAMILIES = {
-    "depolarized": "epsilon",
-    "amplitude": "gamma",
-    "phase": "gamma",
+    "depolarized": ("epsilon", 1.0),
+    "amplitude": ("gamma", 0.0),
+    "phase": ("gamma", 0.0),
 }
 
 
-def _threshold_states(family, value, mode):
-    if mode == "joint":
-        state = families.family_state(family, {_THRESHOLD_FAMILIES[family]:
-                                               value})
-        return (state, state, state)
-    if mode != "single":
-        raise ValueError("mode must be 'joint' or 'single'")
-    noisy = families.family_state(family, {_THRESHOLD_FAMILIES[family]: value})
-    clean_value = 1.0 if family == "depolarized" else 0.0
-    clean = families.family_state(family, {_THRESHOLD_FAMILIES[family]:
-                                           clean_value})
-    return (noisy, clean, clean)
+def visibility_threshold(family, cfg=None, mode="joint"):
+    """Bisection of [0, 1] for the noise parameter where the optimized
+    score crosses 1.
 
-
-def visibility_threshold(family, cfg=None, mode="joint", grid_points=9):
-    """Bisection for the noise parameter where the optimized score crosses 1.
-
-    Returns a ThresholdResult with bracket width at most 1e-4; raises
-    NoBracketError when the coarse grid shows no crossing.
+    Noise acts on all three sources ("joint") or on the first only
+    ("single").  Both ends are scored first and must straddle 1, else
+    NoBracketError; each midpoint is warm-started from the optimal angles
+    at the bracket end whose score is above 1, and all points draw their
+    random starts from one stream seeded with cfg.seed.  Returns a
+    ThresholdResult with bracket width at most 1e-4.
     """
     cfg = cfg or OptimizerConfig()
     if family not in _THRESHOLD_FAMILIES:
         raise ValueError("no threshold family %r" % family)
-    parameter = _THRESHOLD_FAMILIES[family]
+    if mode not in ("joint", "single"):
+        raise ValueError("mode must be 'joint' or 'single'")
+    parameter, clean_value = _THRESHOLD_FAMILIES[family]
     groupings = families.family_groupings(family)
+    clean = families.family_state(family, {parameter: clean_value})
+    rng = np.random.default_rng(cfg.seed)
 
-    warm = []
+    def optimum(value, warm=()):
+        noisy = families.family_state(family, {parameter: value})
+        other = noisy if mode == "joint" else clean
+        net = TrilocalNetwork.from_role_states(noisy, other, other)
+        return _optimize(net, groupings, cfg, True, rng, warm)
 
-    def score_at(value):
-        states = _threshold_states(family, value, mode)
-        net = TrilocalNetwork.from_role_states(*states)
-        result = _optimize(net, groupings, cfg, restricted=True,
-                           extra_starts=tuple(warm))
-        warm[:] = [result.angles]
-        return result.score
-
-    grid = np.linspace(0.0, 1.0, grid_points)
-    scores = [score_at(v) for v in grid]
-    lo = hi = None
-    for a, b, sa, sb in zip(grid, grid[1:], scores, scores[1:]):
-        if (sa - 1.0) * (sb - 1.0) <= 0 and sa != sb:
-            lo, hi, s_lo, s_hi = a, b, sa, sb
-            break
-    if lo is None:
+    lo, hi = 0.0, 1.0
+    r_lo, r_hi = optimum(lo), optimum(hi)
+    if ((r_lo.score - 1.0) * (r_hi.score - 1.0) > 0
+            or r_lo.score == r_hi.score):
         raise NoBracketError("no score crossing of 1 found for %s" % family)
     while hi - lo > 1e-4:
         mid = (lo + hi) / 2
-        sm = score_at(mid)
-        if (s_lo - 1.0) * (sm - 1.0) <= 0:
-            hi, s_hi = mid, sm
+        violating = max(r_lo, r_hi, key=lambda r: r.score)
+        r_mid = optimum(mid, (violating.angles,))
+        if (r_lo.score - 1.0) * (r_mid.score - 1.0) <= 0:
+            hi, r_hi = mid, r_mid
         else:
-            lo, s_lo = mid, sm
-    critical = (lo + hi) / 2
-    below, above = (s_lo, s_hi) if s_lo <= s_hi else (s_hi, s_lo)
-    return ThresholdResult(parameter, float(critical), float(hi - lo),
+            lo, r_lo = mid, r_mid
+    below, above = sorted((r_lo.score, r_hi.score))
+    return ThresholdResult(parameter, (lo + hi) / 2, hi - lo,
                            float(below), float(above))
 
 
@@ -379,5 +366,6 @@ def maximize_nlocal(net, cfg=None, groupings=None):
     cfg = cfg or OptimizerConfig()
     if groupings is None:
         groupings = default_nlocal_groupings(net.n)
-    result = _optimize(net, groupings, cfg, restricted=True)
+    result = _optimize(net, groupings, cfg, True,
+                       np.random.default_rng(cfg.seed))
     return replace(result, settings=_nlocal_settings(groupings, result.angles))

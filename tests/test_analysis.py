@@ -41,6 +41,12 @@ def test_separability_input_validation():
         separability_check(np.eye(8))
 
 
+def test_separability_ignores_rounding_residue_on_diagonal():
+    rho = np.diag([0.3, 0.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.2]).astype(complex)
+    rho[1, 1] += 1e-17
+    assert separability_check(rho).criterion1_rhs == 0.0
+
+
 def test_negativity_mixed_and_bell():
     assert negativity(np.eye(8) / 8, 3, 0) == 0.0
     bell = ghz_n_state(2)

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from nlocality import optimize
 from nlocality.cli import main
+from nlocality.optimize import OptimizationResult
 
 
 def run_cli(tmp_path, args, name="out.json"):
@@ -134,6 +136,19 @@ def test_config_errors_exit_2(capsys):
     assert main(["violation", "--family", "gghz"]) == 2
     assert main(["scan", "--family", "gghz", "--grid", "alpha=bad"]) == 2
     capsys.readouterr()
+    # visibility 1.5 makes the depolarized GHZ source non-positive
+    assert main(["nlocal", "--n", "2", "--epsilon", "1.5"]) == 2
+    assert "eigenvalue" in capsys.readouterr().err
+
+
+def test_threshold_without_crossing_exits_3(monkeypatch, capsys):
+    def below_one(net, groupings, cfg, restricted, rng, extra_starts=()):
+        return OptimizationResult(0.5, None, (0, 0), (0, 0), None,
+                                  np.zeros(12), 0)
+
+    monkeypatch.setattr(optimize, "_optimize", below_one)
+    assert main(["threshold", "--family", "depolarized"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

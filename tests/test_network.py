@@ -145,6 +145,22 @@ def test_nlocal_network_validation():
         NLocalNetwork.from_states(3, [ghz_n_state(3)] * 2)
 
 
+MIXED8 = np.eye(8) / 8
+
+
+@pytest.mark.parametrize("source", [
+    np.eye(4) / 4,
+    np.ones(4) / 2,
+    MIXED8 + 1e-6 * np.triu(np.ones((8, 8)), 1),
+    np.eye(8) / 7,
+    np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]),
+], ids=["matrix-shape", "vector-shape", "non-hermitian", "trace",
+        "not-positive"])
+def test_from_states_rejects_invalid_sources(source):
+    with pytest.raises(ValueError):
+        NLocalNetwork.from_states(3, [source, MIXED8, MIXED8])
+
+
 def test_nlocal_behavior_normalized():
     net = NLocalNetwork.from_states(2, [ghz_n_state(2)] * 2)
     b1, _, _, b2 = table1_settings()

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from nlocality import optimize
 from nlocality.families import family_groupings, family_state
 from nlocality.network import (NLocalNetwork, TrilocalNetwork,
                                transfer_ivalues)
-from nlocality.optimize import (OptimizerConfig, _problem, _restricted_score,
+from nlocality.optimize import (NoBracketError, OptimizationResult,
+                                OptimizerConfig, _problem, _restricted_score,
                                 angles_to_observables,
                                 default_nlocal_groupings, maximize_local,
                                 maximize_trilocal, visibility_threshold)
@@ -125,6 +127,8 @@ def test_maximize_local_runs():
 def test_threshold_rejects_unknown_family():
     with pytest.raises(ValueError):
         visibility_threshold("gghz")
+    with pytest.raises(ValueError):
+        visibility_threshold("depolarized", mode="both")
 
 
 def test_default_nlocal_groupings():
@@ -135,3 +139,79 @@ def test_default_nlocal_groupings():
             assert len(pair) == 2
             for g in pair:
                 assert g.n == n
+
+
+class StubOptimizer:
+    """Stands in for optimize._optimize with a monotone score: scale times
+    twice the GHZ corner coherence of the noisy source, i.e. scale * eps
+    for depolarized and scale * (1 - gamma)^(3/2) for damped sources.  At
+    scale 2^(1/3) it crosses 1 at the closed-form thresholds.  Each call
+    records its score, returned angles, warm starts and a draw from the
+    search's start stream."""
+
+    def __init__(self, scale=np.cbrt(2.0)):
+        self.scale = scale
+        self.calls = []
+
+    def __call__(self, net, groupings, cfg, restricted, rng, extra_starts=()):
+        score = self.scale * 2 * abs(net.source_states[0][0, 7])
+        angles = np.full(12, float(len(self.calls)))
+        self.calls.append({"score": score, "angles": angles,
+                           "warm": list(extra_starts),
+                           "draw": rng.uniform(size=cfg.restarts)})
+        return OptimizationResult(score, None, (0, 0), (0, 0), None, angles,
+                                  0)
+
+
+THRESHOLD_TARGETS = [("depolarized", 2.0 ** (-1 / 3)),
+                     ("amplitude", 1.0 - 4.0 ** (-1 / 9)),
+                     ("phase", 1.0 - 4.0 ** (-1 / 9))]
+
+
+@pytest.mark.parametrize("mode", ["joint", "single"])
+@pytest.mark.parametrize("family, target", THRESHOLD_TARGETS)
+def test_threshold_bisects_unit_interval(monkeypatch, family, target, mode):
+    stub = StubOptimizer()
+    monkeypatch.setattr(optimize, "_optimize", stub)
+    res = visibility_threshold(family, OptimizerConfig(restarts=2), mode)
+    # 2 ends and 14 halvings of [0, 1] down to width 2^-14 <= 1e-4
+    assert len(stub.calls) == 16
+    assert res.bracket_width == 2.0 ** -14
+    lo = res.critical_value - res.bracket_width / 2
+    assert lo * 2 ** 14 == int(lo * 2 ** 14)
+    assert lo < target < lo + res.bracket_width
+    assert res.score_below < 1.0 < res.score_above
+
+
+@pytest.mark.parametrize("family, target", THRESHOLD_TARGETS[:2])
+def test_threshold_warm_starts_from_violating_end(monkeypatch, family,
+                                                  target):
+    stub = StubOptimizer()
+    monkeypatch.setattr(optimize, "_optimize", stub)
+    visibility_threshold(family, OptimizerConfig(restarts=2))
+    ends, midpoints = stub.calls[:2], stub.calls[2:]
+    assert all(call["warm"] == [] for call in ends)
+    # the score is monotone, so a point scoring above 1 becomes the
+    # bracket's violating end
+    violating = max(ends, key=lambda call: call["score"])
+    for call in midpoints:
+        assert len(call["warm"]) == 1
+        assert np.array_equal(call["warm"][0], violating["angles"])
+        if call["score"] > 1.0:
+            violating = call
+
+
+def test_threshold_points_draw_fresh_starts(monkeypatch):
+    stub = StubOptimizer()
+    monkeypatch.setattr(optimize, "_optimize", stub)
+    visibility_threshold("depolarized", OptimizerConfig(restarts=3, seed=4))
+    draws = {call["draw"].tobytes() for call in stub.calls}
+    assert len(draws) == len(stub.calls) == 16
+
+
+def test_threshold_without_crossing_raises(monkeypatch):
+    stub = StubOptimizer(scale=0.5)
+    monkeypatch.setattr(optimize, "_optimize", stub)
+    with pytest.raises(NoBracketError):
+        visibility_threshold("amplitude", OptimizerConfig(restarts=2))
+    assert len(stub.calls) == 2
