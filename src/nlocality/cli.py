@@ -132,6 +132,11 @@ def _merge_config(args):
             raise ConfigError("cannot read config file: %s" % exc)
         if not isinstance(cfg, dict):
             raise ConfigError("config file must contain an object")
+    names = set(vars(args)) - {"config", "command"}
+    unknown = set(cfg) - names
+    if unknown:
+        raise ConfigError("unknown config fields for %s: %s"
+                          % (args.command, sorted(unknown)))
     merged = dict(cfg)
     for key, value in vars(args).items():
         if key in ("config",) or value is None:

@@ -14,6 +14,8 @@ import numpy as np
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+# I, X, Y, Z
+PAULIS = np.stack([np.eye(2, dtype=complex), _SX, _SY, _SZ])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ from . import families
 from .measurements import (_SX, _SY, _SZ, BlochObservable, GHZGrouping,
                            balanced_groupings, coherent_groupings)
 from .network import (NLocalSettings, SettingsBundle, TrilocalNetwork,
-                      ZERO_IVALUE_TOL, nlocal_transfers, transfer_ivalues)
+                      ZERO_IVALUE_TOL, _restricted_score, nlocal_transfers,
+                      transfer_ivalues)
 
 _PAULIS = np.stack([_SX, _SY, _SZ])
 
@@ -73,30 +74,6 @@ def angles_to_observables(angles):
     return (np.sin(theta) * np.cos(phi))[..., None, None] * _SX \
         + (np.sin(theta) * np.sin(phi))[..., None, None] * _SY \
         + np.cos(theta)[..., None, None] * _SZ
-
-
-def _restricted_score(ivals, coherent_mask, root, share_tail=True):
-    """Best designed-inequality value from an I table, with its arg-max.
-
-    ivals is indexed by the intermediate setting tuple then k; the first
-    intermediate index runs over coherent_mask only, and with share_tail
-    the remaining indices are shared between the two I-values of a pair.
-    Without share_tail all index tuples are free (the plain score families).
-    Returns (score, tuple_k0, tuple_k1).
-    """
-    a = np.abs(ivals)
-    a = np.where(a < ZERO_IVALUE_TOL, 0.0, a)
-    tuples = [t for t in itertools.product((0, 1), repeat=ivals.ndim - 1)
-              if t[0] in coherent_mask]
-    best, best_pair = -np.inf, None
-    for t0 in tuples:
-        for t1 in tuples:
-            if share_tail and t0[1:] != t1[1:]:
-                continue
-            val = a[t0 + (0,)] ** (1.0 / root) + a[t1 + (1,)] ** (1.0 / root)
-            if val > best:
-                best, best_pair = val, (t0, t1)
-    return (float(best),) + best_pair
 
 
 def _multistart(objective, dim, cfg, rng, extra_starts=()):

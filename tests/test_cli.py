@@ -67,10 +67,12 @@ def test_scan_csv_monotone(tmp_path):
     lines = out.read_text().strip().splitlines()
     header = lines[0].split(",")
     assert header[0] == "alpha"
-    scores = [float(line.split(",")[header.index("score")])
-              for line in lines[1:]]
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    scores = [float(row["score"]) for row in rows]
     assert len(scores) == 5
     assert all(b >= a - 1e-6 for a, b in zip(scores, scores[1:]))
+    assert all(float(row["score"]) <= float(row["closed_form"]) + 1e-9
+               for row in rows)
 
 
 def test_config_file_merge(tmp_path):
@@ -130,12 +132,19 @@ def test_nlocal_command(tmp_path):
     assert abs(row["score"] - np.sqrt(2.0)) < 1e-3
 
 
-def test_config_errors_exit_2(capsys):
+def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["violation"]) == 2
     assert main(["violation", "--family", "gghz", "--alpha", "9.9"]) == 2
     assert main(["violation", "--family", "gghz"]) == 2
     assert main(["scan", "--family", "gghz", "--grid", "alpha=bad"]) == 2
+    # misspelled config keys are rejected, not silently ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "gghz", "alpha": 0.5,
+                               "settings": "table1", "restart": 1,
+                               "sed": 3}))
     capsys.readouterr()
+    assert main(["violation", "--config", str(cfg)]) == 2
+    assert "['restart', 'sed']" in capsys.readouterr().err
     # visibility 1.5 makes the depolarized GHZ source non-positive
     assert main(["nlocal", "--n", "2", "--epsilon", "1.5"]) == 2
     assert "eigenvalue" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Tests for network assembly, behaviors, scores, and swapped states."""
 
+import functools
 import itertools
 import json
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from nlocality import network
 from nlocality.cli import main
 from nlocality.linalg import kron, partial_trace
-from nlocality.measurements import (BlochObservable, balanced_groupings,
+from nlocality.measurements import (BlochObservable, GHZGrouping, all_labels,
                                     parse_grouping, partial_ghz_observable,
                                     table1_settings)
 from nlocality.network import (Behavior, NLocalNetwork, NLocalSettings,
@@ -212,8 +213,16 @@ def assert_valid_behavior(probs, p):
         assert np.abs(np.diff(marginal, axis=i)).max() <= 1e-12
 
 
+def all_groupings(n):
+    """Every nonempty proper plus set of the 2^n GHZ labels."""
+    labels = all_labels(n)
+    return [GHZGrouping(frozenset(plus), n)
+            for size in range(1, len(labels))
+            for plus in itertools.combinations(labels, size)]
+
+
 ANGLES = st.floats(0.0, 2 * np.pi)
-GROUPINGS = st.sampled_from(balanced_groupings(3))
+GROUPINGS = st.sampled_from(all_groupings(3))
 
 
 @settings(max_examples=8, deadline=None)
@@ -236,6 +245,8 @@ def test_engine_matches_dense_reference(seed, angles, groupings):
     ivals = transfer_ivalues(3, nlocal_transfers(net, nlocal),
                              np.array(nlocal.extreme_operators()))
     assert np.abs(ivals - ivalue_table(ref)).max() <= 1e-12
+    assert np.abs(ivals).max() <= 1.0 + 1e-12
+    assert local_score(beh).score <= 2.0
     for y, z, b_out, c_out in itertools.product((0, 1), repeat=4):
         chi_ref, prob_ref = dense_swapped_state(net, bundle, y, b_out, z,
                                                 c_out)
@@ -294,6 +305,81 @@ def test_nlocal_behavior_n4_matches_transfers():
     ivals = transfer_ivalues(4, nlocal_transfers(net, settings_),
                              np.array(settings_.extreme_operators()))
     assert np.abs(ivalue_table(beh) - ivals).max() <= 1e-12
+
+
+def state_vector_reference(sources, settings_):
+    """Transfers and behavior of a network of pure sources, computed on its
+    2^(n^2)-amplitude state vector: each intermediate operator is applied
+    by tensordot and the extremes are left open.
+
+    Axis i * n + w of the state tensor is wire w of source i, so extreme
+    A_(i+1) is axis i * n and intermediate B_j holds axes i * n + j.
+    """
+    n = len(sources)
+    psi = functools.reduce(np.multiply.outer, sources).reshape((2,) * n * n)
+    extremes = [i * n for i in range(n)]
+    int_ops = settings_.intermediate_operators()
+
+    def apply(op, phi, j):
+        wires = [i * n + j for i in range(n)]
+        op_t = np.asarray(op).reshape((2,) * (2 * n))
+        out = np.tensordot(op_t, phi, axes=(list(range(n, 2 * n)), wires))
+        return np.moveaxis(out, list(range(n)), wires)
+
+    def on_extremes(phi):
+        # Tr over the intermediates of |phi><psi|
+        flat = [np.moveaxis(v, extremes, list(range(n))).reshape(2 ** n, -1)
+                for v in (phi, psi)]
+        return flat[0] @ flat[1].conj().T
+
+    transfers = np.empty((2,) * (n - 1) + (2 ** n, 2 ** n), dtype=complex)
+    for y in itertools.product((0, 1), repeat=n - 1):
+        phi = psi
+        for j, yj in enumerate(y):
+            phi = apply(int_ops[j][yj], phi, j + 1)
+        transfers[y] = on_extremes(phi).T
+    # extreme projectors (I +- A_x)/2, axes (x, a, row, col)
+    ext = [np.array([[(np.eye(2) + (-1) ** a * op) / 2 for a in (0, 1)]
+                     for op in pair]) for pair in settings_.extreme_operators()]
+    m = n - 1
+    probs = np.empty((2,) * (2 * m + 2 * n))  # axes (y, b, x, a)
+    for y in itertools.product((0, 1), repeat=m):
+        for b in itertools.product((0, 1), repeat=m):
+            phi = psi
+            for j in range(m):
+                proj = (np.eye(2 ** n) + (-1) ** b[j] * int_ops[j][y[j]]) / 2
+                phi = apply(proj, phi, j + 1)
+            t = on_extremes(phi).reshape((2,) * (2 * n))
+            # Tr[M kron(projectors)]: one party at a time, row with column
+            for i in range(n):
+                t = np.tensordot(t, ext[i], axes=([0, n - i], [3, 2]))
+            # axes (x_1, a_1, ..., x_n, a_n) -> (x, a)
+            probs[y + b] = np.real(t).transpose(list(range(0, 2 * n, 2))
+                                                + list(range(1, 2 * n, 2)))
+    to_party_order = (list(range(2 * m, 2 * m + n)) + list(range(m))
+                      + list(range(2 * m + n, 2 * m + 2 * n))
+                      + list(range(m, 2 * m)))
+    return transfers, probs.transpose(to_party_order)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_engine_matches_state_vector_reference(n):
+    rng = np.random.default_rng(10 + n)
+    sources = [rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+               for _ in range(n)]
+    sources = [v / np.linalg.norm(v) for v in sources]
+    groupings = all_groupings(n)
+    pairs = tuple((BlochObservable(*rng.uniform(0, 2 * np.pi, 2)),
+                   BlochObservable(*rng.uniform(0, 2 * np.pi, 2)))
+                  for _ in range(n))
+    settings_ = NLocalSettings(pairs, tuple(
+        tuple(groupings[k] for k in rng.choice(len(groupings), 2))
+        for _ in range(n - 1)))
+    transfers, probs = state_vector_reference(sources, settings_)
+    net = NLocalNetwork.from_states(n, sources)
+    assert np.abs(nlocal_transfers(net, settings_) - transfers).max() <= 1e-12
+    beh = nlocal_behavior(net, settings_)
+    assert np.abs(beh.probabilities - probs).max() <= 1e-12
 
 
 def test_no_production_path_builds_the_dense_state(tmp_path, monkeypatch):

@@ -6,9 +6,9 @@ import pytest
 from nlocality import optimize
 from nlocality.families import family_groupings, family_state
 from nlocality.network import (NLocalNetwork, TrilocalNetwork,
-                               transfer_ivalues)
+                               _restricted_score, transfer_ivalues)
 from nlocality.optimize import (NoBracketError, OptimizationResult,
-                                OptimizerConfig, _problem, _restricted_score,
+                                OptimizerConfig, _problem,
                                 angles_to_observables,
                                 default_nlocal_groupings, maximize_local,
                                 maximize_trilocal, visibility_threshold)
