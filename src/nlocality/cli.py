@@ -11,18 +11,17 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__, families
-from .analysis import (load_bell_functional, negativity, separability_check,
-                       tripartite_behavior)
-from .lhv import appendix_b_behavior
+from .analysis import (bell_evaluate, load_bell_functional, negativity,
+                       separability_check, tripartite_behavior)
+from .lhv import appendix_b_responses, product_ivalues
 from .measurements import BlochObservable, parse_grouping
 from .network import (NLocalNetwork, SettingsBundle, TrilocalNetwork,
-                      behavior, ivalue_table, local_score, swapped_state,
-                      trilocal_score)
+                      _restricted_score, nlocal_transfers, swapped_state,
+                      transfer_ivalues)
 from .optimize import (_THRESHOLD_FAMILIES, NoBracketError, OptimizerConfig,
                        maximize_nlocal, maximize_trilocal,
                        visibility_threshold)
@@ -47,8 +46,6 @@ def _add_common(parser):
     parser.add_argument("--max-iterations", type=int, default=None,
                         dest="max_iterations")
     parser.add_argument("--tolerance", type=float, default=None)
-    parser.add_argument("--search-groupings", action="store_true",
-                        default=None, dest="search_groupings")
     parser.add_argument("--workers", type=int, default=None,
                         help="accepted and echoed in the report config; "
                              "restarts always run serially")
@@ -79,7 +76,9 @@ def build_parser():
     _add_common(p)
     _add_family(p)
     p.add_argument("--settings", choices=("table1", "optimize", "file"),
-                   default=None)
+                   default=None,
+                   help="optimize the extreme angles (default; table1 is "
+                        "an alias of optimize) or replay a settings file")
     p.add_argument("--settings-file", default=None,
                    help="JSON settings bundle (used with --settings file)")
 
@@ -145,14 +144,20 @@ def _merge_config(args):
     return merged
 
 
+def _integer(opts, key, default):
+    value = opts.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("%s must be an integer, not %r" % (key, value))
+    return value
+
+
 def _optimizer_config(opts):
     return OptimizerConfig(
-        restarts=int(opts.get("restarts", 50)),
-        max_iterations=int(opts.get("max_iterations", 2000)),
+        restarts=_integer(opts, "restarts", 50),
+        max_iterations=_integer(opts, "max_iterations", 2000),
         tolerance=float(opts.get("tolerance", 1e-9)),
-        seed=int(opts.get("seed", 0)),
-        search_groupings=bool(opts.get("search_groupings", False)),
-        workers=int(opts.get("workers", 1)))
+        seed=_integer(opts, "seed", 0),
+        workers=_integer(opts, "workers", 1))
 
 
 def _family_point(opts):
@@ -175,7 +180,7 @@ def _family_point(opts):
 def _resolved_config(opts, cfg, extra=None):
     out = {"seed": cfg.seed, "restarts": cfg.restarts,
            "max_iterations": cfg.max_iterations, "tolerance": cfg.tolerance,
-           "search_groupings": cfg.search_groupings, "workers": cfg.workers}
+           "workers": cfg.workers}
     for key in ("family", "command", "format", "mode", "settings"):
         if opts.get(key) is not None:
             out[key] = opts[key]
@@ -235,12 +240,16 @@ def _ivalue_rows(table):
     return rows
 
 
+def _scores(table):
+    """(score, tuple_k0, tuple_k1) over all tuples for roots 3 and 1."""
+    return tuple(_restricted_score(table, (0, 1), root, share_tail=False)
+                 for root in (3, 1))
+
+
 def cmd_violation(opts):
     family, params = _family_point(opts)
     cfg = _optimizer_config(opts)
     settings_mode = opts.get("settings", "optimize") or "optimize"
-    state = families.family_state(family, params)
-    net = TrilocalNetwork.from_shared_state(state)
     result = {}
     if settings_mode == "file":
         path = opts.get("settings_file")
@@ -249,36 +258,32 @@ def cmd_violation(opts):
                               "--settings file")
         with open(path, "r", encoding="utf-8") as fh:
             bundle = _bundle_from_json(json.load(fh))
-        beh = behavior(net, bundle)
-        tri = trilocal_score(beh)
-        score = tri.score
+        net = TrilocalNetwork.from_shared_state(
+            families.family_state(family, params))
+        settings = bundle.nlocal()
+        table = transfer_ivalues(3, nlocal_transfers(net, settings),
+                                 np.array(settings.extreme_operators()))
         evaluations = 0
     else:
-        groupings = families.family_groupings(family)
-        search = cfg.search_groupings and settings_mode == "optimize"
-        opt = maximize_trilocal((family, params),
-                                replace(cfg, search_groupings=search),
-                                groupings)
-        bundle = opt.settings
-        beh = behavior(net, bundle)
-        tri = trilocal_score(beh)
-        score = opt.score
+        # table1 is an alias of optimize
+        opt = maximize_trilocal((family, params), cfg)
+        bundle, table = opt.settings, opt.i_values
         evaluations = opt.evaluations
         result["argmax_tuple"] = [list(opt.tuple_k0), list(opt.tuple_k1)]
-    loc = local_score(beh)
-    table = ivalue_table(beh)
+    tri, loc = _scores(table)
+    score = tri[0] if settings_mode == "file" else opt.score
     result.update({
         "family": family, "params": params,
         "settings": _bundle_json(bundle),
         "i_values": _ivalue_rows(table),
         "score": float(score),
-        "trilocal_score_all_tuples": float(tri.score),
-        "trilocal_argmax": [list(tri.tuple_k0), list(tri.tuple_k1)],
-        "local_score": float(loc.score),
-        "local_argmax": [list(loc.tuple_k0), list(loc.tuple_k1)],
+        "trilocal_score_all_tuples": tri[0],
+        "trilocal_argmax": [list(tri[1]), list(tri[2])],
+        "local_score": loc[0],
+        "local_argmax": [list(loc[1]), list(loc[2])],
         "verdict": ("nontrilocal" if score > 1 + 1e-9
                     else "no violation found"),
-        "local_verdict": ("nonlocal" if loc.score > 1 + 1e-9
+        "local_verdict": ("nonlocal" if loc[0] > 1 + 1e-9
                           else "no violation found"),
     })
     config = _resolved_config(opts, cfg, {"settings": settings_mode})
@@ -416,7 +421,6 @@ def cmd_swap(opts):
                         sx = BlochObservable(np.pi / 2, 0.0).matrix()
                         sy = BlochObservable(np.pi / 2, np.pi / 2).matrix()
                         table = tripartite_behavior(chi, [(sx, sy)] * 3)
-                        from .analysis import bell_evaluate
                         value, violated = bell_evaluate(table, functional)
                         row["functional_value"] = value
                         row["functional_violated"] = violated
@@ -438,13 +442,11 @@ def cmd_lhv_check(opts):
         raise ConfigError("bad --r-grid %r (want START:STOP:STEPS)" % spec)
     rows = []
     for r in grid:
-        beh = appendix_b_behavior(float(r))
-        tri = trilocal_score(beh)
-        loc = local_score(beh)
-        table = ivalue_table(beh)
+        table = product_ivalues(appendix_b_responses(float(r)))
+        tri, loc = _scores(table)
         rows.append({"r": float(r),
-                     "trilocal_score": tri.score,
-                     "local_score": loc.score,
+                     "trilocal_score": tri[0],
+                     "local_score": loc[0],
                      "i0": float(table[0, 0, 0]),
                      "i1": float(table[0, 0, 1])})
     config = _resolved_config(opts, cfg, {"r_grid": spec})
@@ -453,7 +455,7 @@ def cmd_lhv_check(opts):
 
 def cmd_nlocal(opts):
     cfg = _optimizer_config(opts)
-    n = int(opts.get("n", 3) or 3)
+    n = _integer(opts, "n", 3)
     if n not in (2, 3, 4):
         raise ConfigError("--n must be 2, 3 or 4")
     epsilon = opts.get("epsilon")

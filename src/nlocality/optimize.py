@@ -15,8 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import families
-from .measurements import (_SX, _SY, _SZ, BlochObservable, GHZGrouping,
-                           balanced_groupings, coherent_groupings)
+from .measurements import _SX, _SY, _SZ, BlochObservable, GHZGrouping
 from .network import (NLocalSettings, SettingsBundle, TrilocalNetwork,
                       ZERO_IVALUE_TOL, _restricted_score, nlocal_transfers,
                       transfer_ivalues)
@@ -34,7 +33,6 @@ class OptimizerConfig:
     max_iterations: int = 2000
     tolerance: float = 1e-9
     seed: int = 0
-    search_groupings: bool = False
     # accepted for configuration compatibility and ignored: restarts run
     # serially, since threads do not speed up these small numpy calls
     workers: int = 1
@@ -222,52 +220,26 @@ def _optimize(net, groupings, cfg, restricted, rng, extra_starts=()):
     return OptimizationResult(best, None, t0, t1, ivals, x, evals)
 
 
-def _trilocal_result(net, groupings, cfg, restricted, rng):
-    result = _optimize(net, groupings, cfg, restricted, rng)
-    return replace(result, settings=_bundle(groupings, result.angles))
-
-
 def maximize_trilocal(target, cfg=None, groupings=None):
     """Maximize the designed trilocal inequality family over extreme angles.
 
     `target` is either a (family, params) pair or a role-ordered source
-    state shared by the three sources.  With search_groupings enabled, a
-    coordinate search over grouping candidates re-optimizes angles per
-    candidate (coherence groupings for B, balanced for C).
+    state shared by the three sources.
     """
     cfg = cfg or OptimizerConfig()
-    rng = np.random.default_rng(cfg.seed)
     net, groupings = _resolve_trilocal(target, groupings)
-    result = _trilocal_result(net, groupings, cfg, True, rng)
-    if not cfg.search_groupings:
-        return result
-    inner = replace(cfg, restarts=max(4, cfg.restarts // 8),
-                    search_groupings=False)
-    b_cands = coherent_groupings()
-    c_cands = balanced_groupings()
-    current = [list(groupings[0]), list(groupings[1])]
-    for side, cands in ((0, b_cands), (1, c_cands)):
-        for slot in (0, 1):
-            for cand in cands:
-                trial = [tuple(current[0]), tuple(current[1])]
-                trial_side = list(trial[side])
-                trial_side[slot] = cand
-                trial[side] = tuple(trial_side)
-                r = _trilocal_result(net, tuple(trial), inner, True, rng)
-                if r.score > result.score + 1e-9:
-                    result = r
-                    current[side][slot] = cand
-    final = _trilocal_result(net, (tuple(current[0]), tuple(current[1])),
-                             cfg, True, rng)
-    return final if final.score >= result.score else result
+    result = _optimize(net, groupings, cfg, True,
+                       np.random.default_rng(cfg.seed))
+    return replace(result, settings=_bundle(groupings, result.angles))
 
 
 def maximize_local(target, cfg=None, groupings=None):
     """Maximize the local score |I| + |J| over all 16 tuples (unrestricted)."""
     cfg = cfg or OptimizerConfig()
     net, groupings = _resolve_trilocal(target, groupings)
-    return _trilocal_result(net, groupings, cfg, False,
-                            np.random.default_rng(cfg.seed))
+    result = _optimize(net, groupings, cfg, False,
+                       np.random.default_rng(cfg.seed))
+    return replace(result, settings=_bundle(groupings, result.angles))
 
 
 # family: (noise parameter, its noiseless value)

@@ -5,9 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from nlocality import optimize
-from nlocality.cli import main
+from nlocality import families, optimize
+from nlocality.cli import _bundle_from_json, main
+from nlocality.network import (TrilocalNetwork, _dense_behavior, ivalue_table,
+                               local_score, trilocal_score)
 from nlocality.optimize import OptimizationResult
+
+BALANCED = "000,001,010,100|011,101,110,111"
+SETTINGS = {"a": [[0.3, 1.1], [2.0, 0.4]], "d": [[1.2, 2.5], [0.7, 5.0]],
+            "t": [[2.8, 0.2], [1.5, 3.3]],
+            "b": [BALANCED, "000,001,110,111|010,011,100,101"],
+            "c": ["000,011,101,110|001,010,100,111", BALANCED]}
 
 
 def run_cli(tmp_path, args, name="out.json"):
@@ -58,6 +66,43 @@ def test_violation_settings_file_roundtrip(tmp_path):
     assert abs(replay["trilocal_score_all_tuples"] - row["score"]) < 1e-9
 
 
+@pytest.mark.parametrize("args", [
+    ["--family", "depolarized", "--epsilon", "0.8", "--settings", "file"],
+    ["--family", "gghz", "--alpha", "0.5", "--settings", "optimize",
+     "--restarts", "2", "--seed", "0"]], ids=["file", "optimize"])
+def test_violation_report_matches_dense_reference(tmp_path, args):
+    settings_path = tmp_path / "settings.json"
+    settings_path.write_text(json.dumps(SETTINGS))
+    rc, out = run_cli(tmp_path, ["violation"] + args
+                      + ["--settings-file", str(settings_path)])
+    assert rc == 0
+    row = json.loads(out.read_text())["results"][0]
+    net = TrilocalNetwork.from_shared_state(
+        families.family_state(row["family"], row["params"]))
+    beh = _dense_behavior(net, _bundle_from_json(row["settings"]))
+    table = ivalue_table(beh)
+    assert len(row["i_values"]) == 8
+    for entry in row["i_values"]:
+        expected = table[entry["i1"], entry["i2"], entry["k"]]
+        assert abs(entry["value"] - expected) < 1e-12
+    assert abs(row["trilocal_score_all_tuples"]
+               - trilocal_score(beh).score) < 1e-12
+    assert abs(row["local_score"] - local_score(beh).score) < 1e-12
+
+
+def test_table1_is_an_alias_of_optimize(tmp_path):
+    docs = []
+    for mode in ("table1", "optimize"):
+        rc, out = run_cli(tmp_path, ["violation", "--family", "gghz",
+                                     "--alpha", "0.3", "--settings", mode,
+                                     "--restarts", "2", "--seed", "3"],
+                          name=mode + ".json")
+        assert rc == 0
+        docs.append(json.loads(out.read_text()))
+    assert docs[0]["results"] == docs[1]["results"]
+    assert docs[0]["timings"] == docs[1]["timings"]
+
+
 def test_scan_csv_monotone(tmp_path):
     rc, out = run_cli(tmp_path, ["scan", "--family", "gghz",
                                  "--grid", "alpha=0:0.7853981633974483:5",
@@ -96,6 +141,21 @@ def test_lhv_check(tmp_path):
     rows = json.loads(out.read_text())["results"]
     assert len(rows) == 5
     assert all(abs(r["trilocal_score"] - 1.0) < 1e-12 for r in rows)
+
+
+def test_lhv_check_near_grid_ends(tmp_path):
+    # I-values of 1e-11 near r = 0 or 1, whose cube roots amplify any
+    # rounding error in them by about 5e6
+    rc, out = run_cli(tmp_path, ["lhv-check", "--r-grid",
+                                 "9.30282e-05:0.999749:3"])
+    assert rc == 0
+    rows = json.loads(out.read_text())["results"]
+    assert len(rows) == 3
+    for row in rows:
+        r = row["r"]
+        assert abs(row["trilocal_score"] - 1.0) < 1e-12
+        assert abs(row["i0"] - r ** 3) < 1e-12
+        assert abs(row["i1"] - (1 - r) ** 3) < 1e-12
 
 
 def test_swap_report(tmp_path):
@@ -145,6 +205,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["violation", "--config", str(cfg)]) == 2
     assert "['restart', 'sed']" in capsys.readouterr().err
+    # integer fields are not truncated: seed 1.7 is not seed 1
+    cfg.write_text(json.dumps({"family": "gghz", "alpha": 0.5, "seed": 1.7,
+                               "restarts": 2, "settings": "optimize"}))
+    assert main(["violation", "--config", str(cfg)]) == 2
+    assert "seed must be an integer" in capsys.readouterr().err
     # visibility 1.5 makes the depolarized GHZ source non-positive
     assert main(["nlocal", "--n", "2", "--epsilon", "1.5"]) == 2
     assert "eigenvalue" in capsys.readouterr().err

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nlocality.lhv import (all_deterministic_strategies, appendix_b_behavior,
-                           deterministic_behavior, enumerate_deterministic)
+                           deterministic_behavior, enumerate_deterministic,
+                           product_behavior, product_ivalues)
 from nlocality.network import ivalue_table, local_score, trilocal_score
 
 
@@ -34,6 +35,17 @@ def test_saturating_model_ivalues(r):
 def test_saturating_model_scores_one():
     for r in (0.0, 0.25, 0.5, 1.0):
         assert abs(trilocal_score(appendix_b_behavior(r)).score - 1.0) < 1e-12
+
+
+def test_product_ivalues_match_behavior():
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        responses = []
+        for _ in range(5):
+            p0 = rng.uniform(0.0, 1.0, 2)
+            responses.append(np.stack([p0, 1.0 - p0], axis=1))
+        table = ivalue_table(product_behavior(responses))
+        assert np.allclose(product_ivalues(responses), table, atol=1e-12)
 
 
 def test_saturating_model_range_error():
