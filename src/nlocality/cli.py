@@ -20,8 +20,8 @@ from .analysis import (bell_evaluate, load_bell_functional, negativity,
 from .lhv import appendix_b_responses, product_ivalues
 from .measurements import BlochObservable, parse_grouping
 from .network import (NLocalNetwork, SettingsBundle, TrilocalNetwork,
-                      _restricted_score, nlocal_transfers, swapped_state,
-                      transfer_ivalues)
+                      _restricted_score, nlocal_transfers, swap_table,
+                      swapped_state_from_table, transfer_ivalues)
 from .optimize import (_THRESHOLD_FAMILIES, NoBracketError, OptimizerConfig,
                        maximize_nlocal, maximize_trilocal,
                        visibility_threshold)
@@ -44,8 +44,11 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--restarts", type=int, default=None)
     parser.add_argument("--max-iterations", type=int, default=None,
-                        dest="max_iterations")
-    parser.add_argument("--tolerance", type=float, default=None)
+                        dest="max_iterations",
+                        help="L-BFGS-B iterations per restart (default 2000)")
+    parser.add_argument("--tolerance", type=float, default=None,
+                        help="L-BFGS-B ftol: relative score change that "
+                             "ends a restart (default 1e-9)")
     parser.add_argument("--workers", type=int, default=None,
                         help="accepted and echoed in the report config; "
                              "restarts always run serially")
@@ -394,11 +397,12 @@ def cmd_swap(opts):
     any_entangled = False
     for y in (0, 1):
         for z in (0, 1):
+            table = swap_table(net, bundle, y, z)
             for b_out in (0, 1):
                 for c_out in (0, 1):
                     try:
-                        chi, prob = swapped_state(net, bundle, y, b_out, z,
-                                                  c_out)
+                        chi, prob = swapped_state_from_table(table, b_out,
+                                                             c_out)
                     except ValueError:
                         rows.append({"y": y, "b": b_out, "z": z, "c": c_out,
                                      "probability": 0.0, "null_event": True})

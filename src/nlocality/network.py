@@ -42,6 +42,8 @@ TRILOCAL_ORDER = (0, 3, 4, 1, 2)
 
 NULL_EVENT_TOL = 1e-12
 ZERO_IVALUE_TOL = 1e-14
+# scores this close to the best are ties when the arg-max tuples are chosen
+ARGMAX_TIE_TOL = 1e-12
 # an operator diagonal in the GHZ basis is a signed sum of stabilizer-state
 # projectors, so its Pauli coefficients are multiples of 2^-n: this cut
 # drops rounding residue only
@@ -156,21 +158,23 @@ def _restricted_score(ivals, coherent_mask, root, share_tail=True):
     intermediate index runs over coherent_mask only, and with share_tail
     the remaining indices are shared between the two I-values of a pair.
     Without share_tail all index tuples are free (the plain score families).
-    Returns (score, tuple_k0, tuple_k1).
+    Returns (score, tuple_k0, tuple_k1): the score is the maximum, and the
+    tuples are the first pair in product order whose value is within
+    ARGMAX_TIE_TOL of it, so that I-values tied in magnitude give the same
+    arg-max whatever their rounding residue.
     """
     a = np.abs(ivals)
     a = np.where(a < ZERO_IVALUE_TOL, 0.0, a)
     tuples = [t for t in itertools.product((0, 1), repeat=ivals.ndim - 1)
               if t[0] in coherent_mask]
-    best, best_pair = -np.inf, None
-    for t0 in tuples:
-        for t1 in tuples:
-            if share_tail and t0[1:] != t1[1:]:
-                continue
-            val = a[t0 + (0,)] ** (1.0 / root) + a[t1 + (1,)] ** (1.0 / root)
-            if val > best:
-                best, best_pair = val, (t0, t1)
-    return (float(best),) + best_pair
+    values = [(a[t0 + (0,)] ** (1.0 / root) + a[t1 + (1,)] ** (1.0 / root),
+               t0, t1)
+              for t0 in tuples for t1 in tuples
+              if not share_tail or t0[1:] == t1[1:]]
+    best = max(val for val, _, _ in values)
+    _, t0, t1 = next(entry for entry in values
+                     if entry[0] >= best - ARGMAX_TIE_TOL)
+    return float(best), t0, t1
 
 
 def _behavior_score(behavior, root):
@@ -416,23 +420,36 @@ def behavior(net, settings):
                     TRILOCAL_INTERMEDIATES)
 
 
-def swapped_state(net, settings, y, b_out, z, c_out):
-    """Conditional state of (A, D, T) given intermediate settings/outcomes.
+def swap_table(net, settings, y, z):
+    """Reduced operators of (I or O_y) on B times (I or O_z) on C, indexed
+    [identity/observable on B, identity/observable on C]; every outcome
+    pair (b, c) of the settings (y, z) conditions on this one table."""
+    ob = partial_ghz_observable(settings.b[y])
+    oc = partial_ghz_observable(settings.c[z])
+    return _reduced_table(net, [[None, ob], [None, oc]])
 
-    Returns (chi, probability); raises on conditioning on a null event.
-    """
+
+def swapped_state_from_table(r, b_out, c_out):
+    """Conditional state of (A, D, T) and its probability for outcomes
+    (b_out, c_out), given the swap_table r of their settings."""
     # the projectors (I +- O)/2 act on B and C only, so the unnormalized
     # state is the signed sum of the four (I or O_y) x (I or O_z) entries,
     # transposed since R[a, b] pairs with observable entry [a, b]
-    ob = partial_ghz_observable(settings.b[y])
-    oc = partial_ghz_observable(settings.c[z])
-    r = _reduced_table(net, [[None, ob], [None, oc]])
     sb, sc = (-1.0) ** b_out, (-1.0) ** c_out
     sub = (r[0, 0] + sb * r[1, 0] + sc * r[0, 1] + sb * sc * r[1, 1]).T / 4
     prob = float(np.real(np.trace(sub)))
     if prob < NULL_EVENT_TOL:
         raise ValueError("conditioning on a null event (probability %g)" % prob)
     return sub / prob, prob
+
+
+def swapped_state(net, settings, y, b_out, z, c_out):
+    """Conditional state of (A, D, T) given intermediate settings/outcomes.
+
+    Returns (chi, probability); raises on conditioning on a null event.
+    """
+    return swapped_state_from_table(swap_table(net, settings, y, z), b_out,
+                                    c_out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Derivative-free maximization of inequality scores and threshold search.
+"""Gradient-based maximization of inequality scores and threshold search.
 
 The trilocal optimizer maximizes the designed inequality family: scored
 I-value pairs share the C setting (general n: all intermediate settings
@@ -75,8 +75,12 @@ def angles_to_observables(angles):
 
 
 def _multistart(objective, dim, cfg, rng, extra_starts=()):
-    """Best Nelder-Mead maximum from cfg.restarts starts drawn from rng
-    (theta in [0, pi), phi in [0, 2 pi)) and then the extra starts."""
+    """Best L-BFGS-B maximum from cfg.restarts starts drawn from rng
+    (theta in [0, pi), phi in [0, 2 pi)) and then the extra starts.
+
+    objective returns (score, gradient); evals counts its calls, one per
+    scipy function evaluation.
+    """
     starts = rng.uniform(0.0, np.pi, (cfg.restarts, dim))
     starts[:, 1::2] *= 2.0
     starts = list(starts) + [np.asarray(s, dtype=float) for s in extra_starts]
@@ -85,14 +89,14 @@ def _multistart(objective, dim, cfg, rng, extra_starts=()):
     def wrapped(x):
         nonlocal evals
         evals += 1
-        return -objective(x)
+        score, grad = objective(x)
+        return -score, -grad
 
     best_val = best_x = None
     for x0 in starts:
-        res = minimize(wrapped, x0, method="Nelder-Mead",
+        res = minimize(wrapped, x0, jac=True, method="L-BFGS-B",
                        options=dict(maxiter=cfg.max_iterations,
-                                    xatol=1e-8, fatol=cfg.tolerance,
-                                    adaptive=dim > 12))
+                                    ftol=cfg.tolerance))
         if best_x is None or -res.fun > best_val + 1e-15:
             best_val, best_x = -res.fun, res.x
     return best_val, best_x, evals
@@ -132,14 +136,21 @@ def _nlocal_settings(groupings, angles):
 
 
 def _objective(n, transfers, coherent_mask, root, share_tail):
-    """Score of 4n extreme angles for fixed n-local transfers.
+    """Score of 4n extreme angles for fixed n-local transfers, with its
+    gradient in the angles.
 
-    Equals the score of _restricted_score(transfer_ivalues(n, transfers,
-    angles_to_observables(angles)), coherent_mask, root, share_tail), but
-    evaluates the I-values on a real tensor C: the correlator is
-    multilinear in the extreme Bloch vectors, so with m = (n_0 + n_1)/2 and
-    d = (n_0 - n_1)/2 per party, I[y_vec, 0] is C contracted with
-    m_1 x ... x m_n and I[y_vec, 1] with d_1 x ... x d_n.
+    The score equals _restricted_score(transfer_ivalues(n, transfers,
+    angles_to_observables(angles)), coherent_mask, root, share_tail)[0], but
+    is evaluated on a real tensor C: the correlator is multilinear in the
+    extreme Bloch vectors, so with m = (n_0 + n_1)/2 and d = (n_0 - n_1)/2
+    per party, I[y_vec, 0] is C contracted with m_1 x ... x m_n and
+    I[y_vec, 1] with d_1 x ... x d_n.
+
+    The score is the largest of finitely many smooth pieces, each a sum of
+    |I|^(1/root) over one row per group of a pair.  The gradient is that of
+    the winning piece (the first pair attaining the maximum, the first
+    largest row of each group), so it is exact wherever the winner is
+    unique; it is 0 where no I-value passes ZERO_IVALUE_TOL.
     """
     # C[y_vec, i_1..i_n] = Re sum R[y_vec] * (s_i1 x ... x s_in) over the
     # Pauli matrices; the n halvings of m and d fold into C as 1/2^n,
@@ -161,29 +172,63 @@ def _objective(n, transfers, coherent_mask, root, share_tail):
     # party i's vectors broadcast along axis 1 + i of the outer product
     slots = [(slice(None),) + (None,) * i + (slice(None),)
              + (None,) * (n - 1 - i) + (i,) for i in range(n)]
+    # dI/dv_p is C contracted with every party but p.  For each p and each
+    # digit tuple j of the other parties: flat_at[p, i, j] is the index of
+    # the outer product with digit i inserted at p, and rest_at[p, j] are
+    # the flat (x/y/z, party) entries of v whose product is term j
+    rest = np.array(list(itertools.product(range(3), repeat=n - 1)))
+    place = 3 ** np.arange(n - 1, -1, -1)
+    others = np.array([[q for q in range(n) if q != p] for p in range(n)])
+    flat_at = np.array([np.arange(3)[:, None] * place[p]
+                        + rest @ place[others[p]] for p in range(n)])
+    rest_at = rest[None] * n + others[:, None, :]
 
     def objective(angles):
         s = np.sin(angles)
         c = np.cos(angles)
-        st = s[0::2]
+        st, ct = s[0::2], c[0::2]
+        sp, cp = s[1::2], c[1::2]
         # Bloch vectors: axes (x/y/z, 2 * party + setting)
-        b = np.array((st * c[1::2], st * s[1::2], c[0::2]))
+        b = np.array((st * cp, st * sp, ct))
         b0 = b[:, 0::2]
         b1 = b[:, 1::2]
         v = np.array((b0 + b1, b0 - b1))  # axes (k, x/y/z, party)
         prod = v[slots[0]]
         for slot in slots[1:]:
             prod = prod * v[slot]
-        a = np.abs(prod.reshape(2, -1) @ corr).ravel().tolist()
+        ivals = (prod.reshape(2, -1) @ corr).ravel()
+        a = np.abs(ivals).tolist()
         best = 0.0
+        winners = ()
         for pair in pairs:
             total = 0.0
+            tops = []
             for group in pair:
-                top = max(map(a.__getitem__, group))
-                if top >= ZERO_IVALUE_TOL:
-                    total += top ** inv_root
-            best = max(best, total)
-        return best
+                top = max(group, key=a.__getitem__)
+                if a[top] >= ZERO_IVALUE_TOL:
+                    total += a[top] ** inv_root
+                    tops.append(top)
+            if total > best:
+                best, winners = total, tops
+        if not winners:
+            return best, np.zeros(4 * n)
+        # d|I|^(1/root)/dI at the winning I-values, back to the outer
+        # product, then to each party's vectors
+        w = np.zeros(2 * rows)
+        for top in winners:
+            slope = inv_root * a[top] ** (inv_root - 1.0)
+            w[top] = slope if ivals[top] > 0 else -slope
+        g = w.reshape(2, rows) @ corr.T
+        rest_prod = v.reshape(2, -1).take(rest_at, axis=1).prod(axis=-1)
+        dv = (g.take(flat_at, axis=1) @ rest_prod[..., None])[..., 0]
+        # v = b_0 +- b_1, then the Bloch vectors' derivatives in theta, phi
+        db = np.empty((3, 2 * n))
+        db[:, 0::2] = (dv[0] + dv[1]).T
+        db[:, 1::2] = (dv[0] - dv[1]).T
+        grad = np.empty(4 * n)
+        grad[0::2] = (db[0] * cp + db[1] * sp) * ct - db[2] * st
+        grad[1::2] = (db[1] * cp - db[0] * sp) * st
+        return best, grad
 
     return objective
 

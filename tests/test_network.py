@@ -17,7 +17,8 @@ from nlocality.measurements import (BlochObservable, GHZGrouping, all_labels,
                                     table1_settings)
 from nlocality.network import (Behavior, NLocalNetwork, NLocalSettings,
                                SettingsBundle, TrilocalNetwork,
-                               _dense_behavior, assemble, behavior, i_value,
+                               _dense_behavior, _restricted_score, assemble,
+                               behavior, i_value,
                                ivalue_table, local_score, nlocal_behavior,
                                nlocal_score, nlocal_transfers, swapped_state,
                                transfer_ivalues, trilocal_score)
@@ -253,6 +254,38 @@ def test_engine_matches_dense_reference(seed, angles, groupings):
         chi, prob = swapped_state(net, bundle, y, b_out, z, c_out)
         assert abs(prob - prob_ref) <= 1e-12
         assert np.abs(chi - chi_ref).max() <= 1e-12
+
+
+# with these groupings I[0, 0, k] = -I[0, 1, k] exactly on a shared
+# depolarized GHZ source, so the best score is reached by two tuples
+TIED_GROUPINGS = ("000,001,010,100|011,101,110,111",
+                  "000,001,110,111|010,011,100,101",
+                  "000,011,101,110|001,010,100,111",
+                  "000,001,010,100|011,101,110,111")
+
+
+def test_tied_argmax_is_the_same_on_both_engines():
+    net = TrilocalNetwork.from_shared_state(depolarized_ghz(0.8))
+    b1, b2, c1, c2 = (parse_grouping(g) for g in TIED_GROUPINGS)
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        pairs = [(BlochObservable(*rng.uniform(0, 2 * np.pi, 2)),
+                  BlochObservable(*rng.uniform(0, 2 * np.pi, 2)))
+                 for _ in range(3)]
+        bundle = SettingsBundle(pairs[0], (b1, b2), (c1, c2), pairs[1],
+                                pairs[2])
+        nlocal = bundle.nlocal()
+        engine = transfer_ivalues(3, nlocal_transfers(net, nlocal),
+                                  np.array(nlocal.extreme_operators()))
+        dense = ivalue_table(_dense_behavior(net, bundle))
+        assert np.abs(engine - dense).max() <= 1e-12
+        assert np.abs(np.abs(engine[0, 0]) - np.abs(engine[0, 1])).max() \
+            <= 1e-15
+        for root in (3, 1):
+            got = _restricted_score(engine, (0, 1), root, share_tail=False)
+            ref = _restricted_score(dense, (0, 1), root, share_tail=False)
+            assert abs(got[0] - ref[0]) <= 1e-12
+            assert got[1:] == ref[1:]
 
 
 def test_literal_and_role_source_orders_agree():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from nlocality import optimize
 from nlocality.families import family_groupings, family_state
@@ -47,7 +48,7 @@ def assert_objective_matches_reference(net, groupings, restricted):
                                  angles_to_observables(angles))
         expected, _, _ = _restricted_score(ivals, mask, root,
                                            share_tail=restricted)
-        assert abs(objective(angles) - expected) <= 1e-12
+        assert abs(objective(angles)[0] - expected) <= 1e-12
 
 
 def random_density(rng, dim):
@@ -81,6 +82,59 @@ def test_nlocal_objective_matches_reference(n, source, restricted):
     net = NLocalNetwork.from_states(n, states)
     assert_objective_matches_reference(net, default_nlocal_groupings(n),
                                        restricted)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("source", ["ghz", "mixed"])
+@pytest.mark.parametrize("restricted", [True, False])
+def test_objective_gradient_matches_central_differences(n, source,
+                                                        restricted):
+    rng = np.random.default_rng(10 + n)
+    if source == "ghz":
+        states = [ghz_n_state(n)] * n
+    else:
+        states = [random_density(rng, 2 ** n) for _ in range(n)]
+    net = NLocalNetwork.from_states(n, states)
+    _, _, _, objective = _problem(net, default_nlocal_groupings(n),
+                                  restricted)
+    h = 1e-6
+    steps = h * np.eye(4 * n)
+    for angles in rng.uniform(0.0, 2 * np.pi, (50, 4 * n)):
+        _, grad = objective(angles)
+        numeric = np.array([(objective(angles + e)[0]
+                             - objective(angles - e)[0]) / (2 * h)
+                            for e in steps])
+        assert np.abs(grad - numeric).max() <= 1e-5 * max(
+            1.0, np.abs(grad).max())
+
+
+def test_objective_gradient_is_zero_without_ivalues():
+    # maximally mixed sources give every I-value 0
+    net = NLocalNetwork.from_states(3, [np.eye(8) / 8] * 3)
+    _, _, _, objective = _problem(net, default_nlocal_groupings(3), True)
+    score, grad = objective(np.linspace(0.1, 2.0, 12))
+    assert score == 0.0
+    assert np.array_equal(grad, np.zeros(12))
+
+
+def test_evaluations_are_scipy_function_evaluations(monkeypatch):
+    nfev = []
+
+    def counted(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(optimize, "minimize", counted)
+    res = maximize_trilocal(("gghz", {"alpha": 0.5}),
+                            OptimizerConfig(restarts=5, seed=2))
+    assert len(nfev) == 5
+    assert res.evaluations == sum(nfev)
+    net = NLocalNetwork.from_states(4, [ghz_n_state(4)] * 4)
+    nfev.clear()
+    res = optimize.maximize_nlocal(net, OptimizerConfig(restarts=3, seed=1))
+    assert len(nfev) == 3
+    assert res.evaluations == sum(nfev)
 
 
 def test_optimizer_is_deterministic():
