@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import hermitian_eigenvalues, partial_transpose
+from .network import _behavior_from_expectations
 
 PPT_EIG_TOL = 1e-10
 SEP_TOL = 1e-12
@@ -152,22 +153,14 @@ def tripartite_behavior(rho, observables):
 
     `observables` is a list of three (O_0, O_1) matrix pairs.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho, dtype=complex).reshape((2,) * 6)
     eye = np.eye(2, dtype=complex)
-    table = np.empty((2,) * 6)
-    for x in (0, 1):
-        for y in (0, 1):
-            for z in (0, 1):
-                ops = [observables[0][x], observables[1][y], observables[2][z]]
-                for a in (0, 1):
-                    for b in (0, 1):
-                        for c in (0, 1):
-                            pis = [(eye + (-1) ** o * op) / 2
-                                   for o, op in zip((a, b, c), ops)]
-                            full = np.kron(np.kron(pis[0], pis[1]), pis[2])
-                            table[x, y, z, a, b, c] = np.real(
-                                np.trace(rho @ full))
-    return table
+    ops = [np.array([eye, o0, o1], dtype=complex) for o0, o1 in observables]
+    # expect[p, q, r] = Tr(rho (P_p x Q_q x R_r)) with each party's
+    # operators (I, O_0, O_1): rho's row bits a b c meet the operators'
+    # column bits and its column bits d e f their row bits
+    expect = np.einsum("abcdef,pda,qeb,rfc->pqr", rho, *ops)
+    return _behavior_from_expectations(expect, 3)
 
 
 def mermin_functional():

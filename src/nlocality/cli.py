@@ -9,6 +9,7 @@ also be emitted as CSV.  Exit codes: 0 success, 2 configuration error,
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 
@@ -19,9 +20,9 @@ from .analysis import (bell_evaluate, load_bell_functional, negativity,
                        separability_check, tripartite_behavior)
 from .lhv import appendix_b_responses, product_ivalues
 from .measurements import BlochObservable, parse_grouping
-from .network import (NLocalNetwork, SettingsBundle, TrilocalNetwork,
-                      _restricted_score, nlocal_transfers, swap_table,
-                      swapped_state_from_table, transfer_ivalues)
+from .network import (SUPPORTED_N, NLocalNetwork, SettingsBundle,
+                      TrilocalNetwork, _restricted_score, nlocal_transfers,
+                      swap_table, swapped_state_from_table, transfer_ivalues)
 from .optimize import (_THRESHOLD_FAMILIES, NoBracketError, OptimizerConfig,
                        maximize_nlocal, maximize_trilocal,
                        visibility_threshold)
@@ -57,14 +58,9 @@ def _add_common(parser):
 def _add_family(parser):
     parser.add_argument("--family",
                         choices=sorted(families.FAMILY_PARAMS), default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--eta", type=float, default=None)
-    parser.add_argument("--sigma1", type=float, default=None)
-    parser.add_argument("--sigma2", type=float, default=None)
-    parser.add_argument("--p1", type=float, default=None)
-    parser.add_argument("--p2", type=float, default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--gamma", type=float, default=None)
+    names = dict.fromkeys(itertools.chain(*families.FAMILY_PARAMS.values()))
+    for name in names:
+        parser.add_argument("--" + name, type=float, default=None)
 
 
 def build_parser():
@@ -117,7 +113,7 @@ def build_parser():
 
     p = sub.add_parser("nlocal", help="optimize an n-local network")
     _add_common(p)
-    p.add_argument("--n", type=int, default=None, choices=(2, 3, 4))
+    p.add_argument("--n", type=int, default=None, choices=SUPPORTED_N)
     p.add_argument("--epsilon", type=float, default=None,
                    help="per-source depolarizing visibility (default: pure)")
     return parser
@@ -325,31 +321,23 @@ def cmd_scan(opts):
             fixed[name] = float(opts[name])
     rows = []
     evaluations = 0
-
-    def recurse(idx, point):
-        nonlocal evaluations
-        if idx == len(axes):
-            params = dict(fixed, **point)
-            try:
-                families.family_state(family, params)
-            except ValueError as exc:
-                raise ConfigError(str(exc))
-            opt = maximize_trilocal((family, params), cfg)
-            evaluations += opt.evaluations
-            row = dict(params)
-            row["score"] = float(opt.score)
-            try:
-                row["closed_form"] = families.closed_form_bound(family,
-                                                                params)
-            except ValueError:
-                pass
-            rows.append(row)
-            return
-        name, values = axes[idx]
-        for v in values:
-            recurse(idx + 1, dict(point, **{name: float(v)}))
-
-    recurse(0, {})
+    names = [name for name, _ in axes]
+    # the first --grid varies slowest
+    for point in itertools.product(*(values for _, values in axes)):
+        params = dict(fixed, **dict(zip(names, map(float, point))))
+        try:
+            families.family_state(family, params)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        opt = maximize_trilocal((family, params), cfg)
+        evaluations += opt.evaluations
+        row = dict(params)
+        row["score"] = float(opt.score)
+        try:
+            row["closed_form"] = families.closed_form_bound(family, params)
+        except ValueError:
+            pass
+        rows.append(row)
     config = _resolved_config(opts, cfg, {"grid": specs})
     return _report(config, rows, {"objective_evaluations": evaluations})
 
@@ -393,15 +381,17 @@ def cmd_swap(opts):
     functional = None
     if opts.get("functional"):
         functional = load_bell_functional(opts["functional"])
+        sx = BlochObservable(np.pi / 2, 0.0).matrix()
+        sy = BlochObservable(np.pi / 2, np.pi / 2).matrix()
     rows = []
     any_entangled = False
     for y in (0, 1):
         for z in (0, 1):
-            table = swap_table(net, bundle, y, z)
+            reduced = swap_table(net, bundle, y, z)
             for b_out in (0, 1):
                 for c_out in (0, 1):
                     try:
-                        chi, prob = swapped_state_from_table(table, b_out,
+                        chi, prob = swapped_state_from_table(reduced, b_out,
                                                              c_out)
                     except ValueError:
                         rows.append({"y": y, "b": b_out, "z": z, "c": c_out,
@@ -422,10 +412,9 @@ def cmd_swap(opts):
                         "entangled_by_criteria": sep.entangled,
                     }
                     if functional is not None:
-                        sx = BlochObservable(np.pi / 2, 0.0).matrix()
-                        sy = BlochObservable(np.pi / 2, np.pi / 2).matrix()
-                        table = tripartite_behavior(chi, [(sx, sy)] * 3)
-                        value, violated = bell_evaluate(table, functional)
+                        value, violated = bell_evaluate(
+                            tripartite_behavior(chi, [(sx, sy)] * 3),
+                            functional)
                         row["functional_value"] = value
                         row["functional_violated"] = violated
                     any_entangled = any_entangled or sep.entangled
@@ -460,21 +449,22 @@ def cmd_lhv_check(opts):
 def cmd_nlocal(opts):
     cfg = _optimizer_config(opts)
     n = _integer(opts, "n", 3)
-    if n not in (2, 3, 4):
-        raise ConfigError("--n must be 2, 3 or 4")
     epsilon = opts.get("epsilon")
-    if epsilon is None:
-        source = ghz_n_state(n)
-        label = "ghz"
-    else:
+    if epsilon is not None:
         epsilon = float(epsilon)
+
+    def source():
         g = ghz_n_state(n)
-        source = (epsilon * np.outer(g, g.conj())
-                  + (1 - epsilon) * np.eye(2 ** n) / 2 ** n)
-        label = "depolarized"
-    net = NLocalNetwork.from_states(n, [source] * n)
+        if epsilon is None:
+            return g
+        return (epsilon * np.outer(g, g.conj())
+                + (1 - epsilon) * np.eye(2 ** n) / 2 ** n)
+
+    # a generator: from_states rejects an unsupported n before any source
+    # of 2^n x 2^n entries is built
+    net = NLocalNetwork.from_states(n, (source() for _ in range(n)))
     opt = maximize_nlocal(net, cfg)
-    result = {"n": n, "source": label,
+    result = {"n": n, "source": "ghz" if epsilon is None else "depolarized",
               "score": float(opt.score),
               "argmax_tuple": [list(opt.tuple_k0), list(opt.tuple_k1)],
               "verdict": ("non-n-local" if opt.score > 1 + 1e-9

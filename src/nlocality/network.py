@@ -40,6 +40,8 @@ WIRING = (0, 1, 4, 7, 2, 5, 8, 3, 6)
 # trilocal party order (A, B, C, D, T) <-> n-local order (A, D, T, B, C)
 TRILOCAL_ORDER = (0, 3, 4, 1, 2)
 
+# network sizes n the engine accepts
+SUPPORTED_N = (2, 3, 4)
 NULL_EVENT_TOL = 1e-12
 ZERO_IVALUE_TOL = 1e-14
 # scores this close to the best are ties when the arg-max tuples are chosen
@@ -151,30 +153,58 @@ def i_value(behavior, i1, i2, k):
     return nlocal_i_value(behavior, (i1, i2), k)
 
 
-def _restricted_score(ivals, coherent_mask, root, share_tail=True):
-    """Best designed-inequality value from an I table, with its arg-max.
+def _pair_structure(rows, coherent_mask, share_tail):
+    """The I-value pairs the designed inequality scores, as (order, groups)
+    over rows y numbering the intermediate setting tuples in product order:
+    order lists the scored rows (first index in coherent_mask) with their
+    group g, and a pair takes both rows from one groups[g], which holds the
+    scored rows sharing the remaining indices with share_tail, else all."""
+    half = rows // 2
+    order = [(y, y % half if share_tail else 0) for y in range(rows)
+             if y // half in coherent_mask]
+    groups = [[y for y, g in order if g == h]
+              for h in range(half if share_tail else 1)]
+    return order, groups
 
-    ivals is indexed by the intermediate setting tuple then k; the first
-    intermediate index runs over coherent_mask only, and with share_tail
-    the remaining indices are shared between the two I-values of a pair.
-    Without share_tail all index tuples are free (the plain score families).
-    Returns (score, tuple_k0, tuple_k1): the score is the maximum, and the
-    tuples are the first pair in product order whose value is within
-    ARGMAX_TIE_TOL of it, so that I-values tied in magnitude give the same
-    arg-max whatever their rounding residue.
-    """
-    a = np.abs(ivals)
-    a = np.where(a < ZERO_IVALUE_TOL, 0.0, a)
-    tuples = [t for t in itertools.product((0, 1), repeat=ivals.ndim - 1)
-              if t[0] in coherent_mask]
-    values = [(a[t0 + (0,)] ** (1.0 / root) + a[t1 + (1,)] ** (1.0 / root),
-               t0, t1)
-              for t0 in tuples for t1 in tuples
-              if not share_tail or t0[1:] == t1[1:]]
-    best = max(val for val, _, _ in values)
-    _, t0, t1 = next(entry for entry in values
-                     if entry[0] >= best - ARGMAX_TIE_TOL)
-    return float(best), t0, t1
+
+def _best_pair(a0, a1, pairs, root):
+    """Best pair (y0, y1) of a _pair_structure, worth |I_{y0, 0}|^(1/root)
+    + |I_{y1, 1}|^(1/root) with a0[y] = |I_{y, 0}|, a1[y] = |I_{y, 1}| and
+    |I| below ZERO_IVALUE_TOL counted as 0.  Returns (score, y0, y1): the
+    best value and the first pair in product order within ARGMAX_TIE_TOL of
+    it, so that I-values tied in magnitude give the same arg-max whatever
+    their rounding residue."""
+    order, groups = pairs
+    inv_root = 1.0 / root
+
+    def term(x):
+        return x ** inv_root if x >= ZERO_IVALUE_TOL else 0.0
+
+    # a power is monotone: a group's best k = 1 term is that of its max
+    tops = [term(max(map(a1.__getitem__, g))) for g in groups]
+    totals = [term(a0[y]) + tops[g] for y, g in order]
+    best = max(totals)
+    cut = best - ARGMAX_TIE_TOL
+    i = 0
+    while totals[i] < cut:
+        i += 1
+    y0, g = order[i]
+    first = term(a0[y0])
+    for y1 in groups[g]:
+        if first + term(a1[y1]) >= cut:
+            return best, y0, y1
+
+
+def _restricted_score(ivals, coherent_mask, root, share_tail=True):
+    """(score, tuple_k0, tuple_k1) of an I table indexed by the
+    intermediate setting tuple then k, as _best_pair picks them over the
+    _pair_structure of (coherent_mask, share_tail); without share_tail all
+    index tuples are free (the plain score families)."""
+    a0, a1 = np.abs(ivals).reshape(-1, 2).T.tolist()
+    pairs = _pair_structure(len(a0), coherent_mask, share_tail)
+    best, y0, y1 = _best_pair(a0, a1, pairs, root)
+    t0, t1 = np.transpose(np.unravel_index([y0, y1], ivals.shape[:-1]))
+    return best, tuple(map(int, t0)), tuple(map(int, t1))
 
 
 def _behavior_score(behavior, root):
@@ -230,8 +260,9 @@ class NLocalNetwork:
 
     @staticmethod
     def from_states(n, states):
-        if n not in (2, 3, 4):
-            raise ValueError("supported network sizes are n in {2, 3, 4}")
+        if n not in SUPPORTED_N:
+            raise ValueError("supported network sizes are n in %s"
+                             % set(SUPPORTED_N))
         states = tuple(states)
         if len(states) != n:
             raise ValueError("expected %d source states" % n)

@@ -17,8 +17,8 @@ from scipy.optimize import minimize
 from . import families
 from .measurements import _SX, _SY, _SZ, BlochObservable, GHZGrouping
 from .network import (NLocalSettings, SettingsBundle, TrilocalNetwork,
-                      ZERO_IVALUE_TOL, _restricted_score, nlocal_transfers,
-                      transfer_ivalues)
+                      ZERO_IVALUE_TOL, _best_pair, _pair_structure,
+                      _restricted_score, nlocal_transfers, transfer_ivalues)
 
 _PAULIS = np.stack([_SX, _SY, _SZ])
 
@@ -146,11 +146,10 @@ def _objective(n, transfers, coherent_mask, root, share_tail):
     per party, I[y_vec, 0] is C contracted with m_1 x ... x m_n and
     I[y_vec, 1] with d_1 x ... x d_n.
 
-    The score is the largest of finitely many smooth pieces, each a sum of
-    |I|^(1/root) over one row per group of a pair.  The gradient is that of
-    the winning piece (the first pair attaining the maximum, the first
-    largest row of each group), so it is exact wherever the winner is
-    unique; it is 0 where no I-value passes ZERO_IVALUE_TOL.
+    The score is the largest of finitely many smooth pieces, one per
+    scored pair of I-values.  The gradient is that of the pair _best_pair
+    picks, so it is exact wherever the winner is unique; I-values below
+    ZERO_IVALUE_TOL contribute nothing to it.
     """
     # C[y_vec, i_1..i_n] = Re sum R[y_vec] * (s_i1 x ... x s_in) over the
     # Pauli matrices; the n halvings of m and d fold into C as 1/2^n,
@@ -160,14 +159,7 @@ def _objective(n, transfers, coherent_mask, root, share_tail):
         t = np.tensordot(t, _PAULIS, axes=([n - 1, 2 * n - 1 - i], [1, 2]))
     rows = 2 ** (n - 1)
     corr = (t.real / 2 ** n).reshape(rows, 3 ** n).T
-    # I-values come out flat at k * rows + y_vec (row-major), y_vec =
-    # (y_1, tail); each group holds the rows whose maxima form one pair
-    tails = range(rows // 2)
-    if share_tail:
-        groups = [[y * len(tails) + r for y in coherent_mask] for r in tails]
-    else:
-        groups = [[y * len(tails) + r for y in coherent_mask for r in tails]]
-    pairs = [(g, [rows + r for r in g]) for g in groups]
+    pairs = _pair_structure(rows, coherent_mask, share_tail)
     inv_root = 1.0 / root
     # party i's vectors broadcast along axis 1 + i of the outer product
     slots = [(slice(None),) + (None,) * i + (slice(None),)
@@ -196,29 +188,21 @@ def _objective(n, transfers, coherent_mask, root, share_tail):
         prod = v[slots[0]]
         for slot in slots[1:]:
             prod = prod * v[slot]
-        ivals = (prod.reshape(2, -1) @ corr).ravel()
+        # I-values by (k, row), rows numbering y_vec row-major
+        ivals = prod.reshape(2, -1) @ corr
         a = np.abs(ivals).tolist()
-        best = 0.0
-        winners = ()
-        for pair in pairs:
-            total = 0.0
-            tops = []
-            for group in pair:
-                top = max(group, key=a.__getitem__)
-                if a[top] >= ZERO_IVALUE_TOL:
-                    total += a[top] ** inv_root
-                    tops.append(top)
-            if total > best:
-                best, winners = total, tops
+        best, y0, y1 = _best_pair(a[0], a[1], pairs, root)
+        winners = [(k, y) for k, y in ((0, y0), (1, y1))
+                   if a[k][y] >= ZERO_IVALUE_TOL]
         if not winners:
             return best, np.zeros(4 * n)
         # d|I|^(1/root)/dI at the winning I-values, back to the outer
         # product, then to each party's vectors
-        w = np.zeros(2 * rows)
-        for top in winners:
-            slope = inv_root * a[top] ** (inv_root - 1.0)
-            w[top] = slope if ivals[top] > 0 else -slope
-        g = w.reshape(2, rows) @ corr.T
+        w = np.zeros((2, rows))
+        for k, y in winners:
+            slope = inv_root * a[k][y] ** (inv_root - 1.0)
+            w[k, y] = slope if ivals[k, y] > 0 else -slope
+        g = w @ corr.T
         rest_prod = v.reshape(2, -1).take(rest_at, axis=1).prod(axis=-1)
         dv = (g.take(flat_at, axis=1) @ rest_prod[..., None])[..., 0]
         # v = b_0 +- b_1, then the Bloch vectors' derivatives in theta, phi

@@ -145,3 +145,27 @@ def test_tripartite_behavior_normalized():
     obs = [(bloch_observable(0.3, 0.4), bloch_observable(1.0, 2.0))] * 3
     table = tripartite_behavior(rho, obs)
     assert np.allclose(table.reshape(8, 8).sum(axis=1), 1.0, atol=1e-10)
+
+
+def loop_tripartite_behavior(rho, observables):
+    """Reference: the Born rule entry by entry, one Kronecker product of
+    projectors and one trace per (x, y, z, a, b, c)."""
+    eye = np.eye(2, dtype=complex)
+    table = np.empty((2,) * 6)
+    for x, y, z, a, b, c in np.ndindex(*(2,) * 6):
+        ops = [observables[0][x], observables[1][y], observables[2][z]]
+        pis = [(eye + (-1) ** o * op) / 2 for o, op in zip((a, b, c), ops)]
+        table[x, y, z, a, b, c] = np.real(np.trace(rho @ kron(*pis)))
+    return table
+
+
+def test_tripartite_behavior_matches_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        obs = [tuple(bloch_observable(*rng.uniform(0, 2 * np.pi, 2))
+                     for _ in range(2)) for _ in range(3)]
+        assert np.abs(tripartite_behavior(rho, obs)
+                      - loop_tripartite_behavior(rho, obs)).max() <= 1e-12

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from nlocality import families, optimize
+from nlocality.analysis import (bell_evaluate, mermin_functional,
+                                tripartite_behavior)
 from nlocality.cli import _bundle_from_json, main
-from nlocality.network import (TrilocalNetwork, _dense_behavior, ivalue_table,
-                               local_score, trilocal_score)
+from nlocality.measurements import BlochObservable
+from nlocality.network import (SettingsBundle, TrilocalNetwork,
+                               _dense_behavior, ivalue_table, local_score,
+                               swapped_state, trilocal_score)
 from nlocality.optimize import OptimizationResult
 
 BALANCED = "000,001,010,100|011,101,110,111"
@@ -120,6 +124,19 @@ def test_scan_csv_monotone(tmp_path):
                for row in rows)
 
 
+def test_scan_two_axes_run_first_axis_major(tmp_path):
+    rc, out = run_cli(tmp_path, ["scan", "--family", "ghz-symmetric",
+                                 "--grid", "p1=0:0.2:2",
+                                 "--grid", "p2=0.1:0.3:2",
+                                 "--restarts", "2", "--seed", "0",
+                                 "--format", "csv"], name="scan.csv")
+    assert rc == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "p1,p2,score,closed_form"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["0.0", "0.1"], ["0.0", "0.3"], ["0.2", "0.1"], ["0.2", "0.3"]]
+
+
 def test_config_file_merge(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": "gghz", "alpha": 0.3,
@@ -168,6 +185,34 @@ def test_swap_report(tmp_path):
                for _ in (0,))
 
 
+def test_swap_functional_values(tmp_path):
+    terms = [{"a": a, "b": b, "c": c, "x": x, "y": y, "z": z, "coeff": w}
+             for (a, b, c, x, y, z), w
+             in mermin_functional().coefficients.items()]
+    path = tmp_path / "mermin.json"
+    path.write_text(json.dumps({"scenario": [3, 2, 2], "bound": 2.0,
+                                "terms": terms}))
+    rc, out = run_cli(tmp_path, ["swap", "--family", "gghz", "--alpha",
+                                 "0.6", "--functional", str(path)])
+    assert rc == 0
+    rows = json.loads(out.read_text())["results"]
+    assert len(rows) == 16
+    net = TrilocalNetwork.from_shared_state(
+        families.family_state("gghz", {"alpha": 0.6}))
+    (b_pair, c_pair) = families.family_groupings("gghz")
+    probe = (BlochObservable(0.0, 0.0),) * 2
+    bundle = SettingsBundle(probe, b_pair, c_pair, probe, probe)
+    sx = BlochObservable(np.pi / 2, 0.0).matrix()
+    sy = BlochObservable(np.pi / 2, np.pi / 2).matrix()
+    for row in rows:
+        chi, _ = swapped_state(net, bundle, row["y"], row["b"], row["z"],
+                               row["c"])
+        value, violated = bell_evaluate(
+            tripartite_behavior(chi, [(sx, sy)] * 3), mermin_functional())
+        assert row["functional_value"] == value
+        assert row["functional_violated"] == violated
+
+
 def test_swap_singleton_grouping_detects_entanglement(tmp_path):
     rc, out = run_cli(tmp_path, ["swap", "--family", "gghz",
                                  "--alpha", "0.7853981633974483",
@@ -213,6 +258,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # visibility 1.5 makes the depolarized GHZ source non-positive
     assert main(["nlocal", "--n", "2", "--epsilon", "1.5"]) == 2
     assert "eigenvalue" in capsys.readouterr().err
+    # the supported network sizes bind a config file too
+    cfg.write_text(json.dumps({"n": 5}))
+    assert main(["nlocal", "--config", str(cfg)]) == 2
+    assert "supported network sizes" in capsys.readouterr().err
 
 
 def test_threshold_without_crossing_exits_3(monkeypatch, capsys):

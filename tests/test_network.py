@@ -283,9 +283,52 @@ def test_tied_argmax_is_the_same_on_both_engines():
             <= 1e-15
         for root in (3, 1):
             got = _restricted_score(engine, (0, 1), root, share_tail=False)
-            ref = _restricted_score(dense, (0, 1), root, share_tail=False)
+            ref = enumerated_score(dense, (0, 1), root, share_tail=False)
             assert abs(got[0] - ref[0]) <= 1e-12
             assert got[1:] == ref[1:]
+
+
+def enumerated_score(ivals, coherent_mask, root, share_tail=True):
+    """Reference for _restricted_score: every scored pair of tuples in
+    product order, the first within ARGMAX_TIE_TOL of the best winning."""
+    a = np.abs(ivals)
+    a = np.where(a < network.ZERO_IVALUE_TOL, 0.0, a)
+    tuples = [t for t in itertools.product((0, 1), repeat=ivals.ndim - 1)
+              if t[0] in coherent_mask]
+    values = [(a[t0 + (0,)] ** (1.0 / root) + a[t1 + (1,)] ** (1.0 / root),
+               t0, t1)
+              for t0 in tuples for t1 in tuples
+              if not share_tail or t0[1:] == t1[1:]]
+    best = max(val for val, _, _ in values)
+    _, t0, t1 = next(entry for entry in values
+                     if entry[0] >= best - network.ARGMAX_TIE_TOL)
+    return float(best), t0, t1
+
+
+def score_test_tables(rng, n, count):
+    """Random I tables, and tables whose |I| are exactly tied, tied up to
+    1e-14, or near the zero cut-off of 1e-14."""
+    shape = (2,) * n
+    levels = np.array([0.0, 0.125, 0.25, 0.5, 1.0])
+    tiny = np.array([0.0, 3e-15, 9.9e-15, 1e-14, 1.01e-14, 2e-14, 0.25])
+    for _ in range(count):
+        signs = rng.choice((-1.0, 1.0), shape)
+        tied = signs * rng.choice(levels, shape)
+        yield rng.normal(size=shape)
+        yield tied
+        yield tied + 1e-14 * rng.normal(size=shape)
+        yield signs * rng.choice(tiny, shape)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("mask", [(0, 1), (0,), (1,)])
+@pytest.mark.parametrize("share_tail", [True, False])
+def test_score_kernel_matches_enumeration(n, mask, share_tail):
+    rng = np.random.default_rng(100 * n + 10 * len(mask) + share_tail)
+    for table in score_test_tables(rng, n, 100):
+        for root in sorted({1, 3, n}):
+            assert _restricted_score(table, mask, root, share_tail) \
+                == enumerated_score(table, mask, root, share_tail)
 
 
 def test_literal_and_role_source_orders_agree():

@@ -7,13 +7,14 @@ from scipy.optimize import minimize
 from nlocality import optimize
 from nlocality.families import family_groupings, family_state
 from nlocality.network import (NLocalNetwork, TrilocalNetwork,
-                               _restricted_score, transfer_ivalues)
+                               transfer_ivalues)
 from nlocality.optimize import (NoBracketError, OptimizationResult,
                                 OptimizerConfig, _problem,
                                 angles_to_observables,
                                 default_nlocal_groupings, maximize_local,
                                 maximize_trilocal, visibility_threshold)
 from nlocality.states import ghz_n_state
+from test_network import enumerated_score
 
 
 def test_config_validation():
@@ -39,15 +40,16 @@ def test_angles_to_observables():
 
 
 def assert_objective_matches_reference(net, groupings, restricted):
-    """The tensor objective equals transfer_ivalues + _restricted_score."""
+    """The tensor objective equals transfer_ivalues + the enumerated
+    score."""
     transfers, mask, root, objective = _problem(net, groupings, restricted)
     assert root == (net.n if restricted else 1)
     rng = np.random.default_rng(5)
     for angles in rng.uniform(0.0, 2 * np.pi, (200, 4 * net.n)):
         ivals = transfer_ivalues(net.n, transfers,
                                  angles_to_observables(angles))
-        expected, _, _ = _restricted_score(ivals, mask, root,
-                                           share_tail=restricted)
+        expected, _, _ = enumerated_score(ivals, mask, root,
+                                          share_tail=restricted)
         assert abs(objective(angles)[0] - expected) <= 1e-12
 
 
