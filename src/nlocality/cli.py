@@ -21,11 +21,11 @@ from .analysis import (bell_evaluate, load_bell_functional, negativity,
 from .lhv import appendix_b_responses, product_ivalues
 from .measurements import BlochObservable, parse_grouping
 from .network import (SUPPORTED_N, NLocalNetwork, SettingsBundle,
-                      TrilocalNetwork, _restricted_score, nlocal_transfers,
-                      swap_table, swapped_state_from_table, transfer_ivalues)
+                      TrilocalNetwork, _restricted_score, swap_table,
+                      swapped_state_from_table)
 from .optimize import (_THRESHOLD_FAMILIES, NoBracketError, OptimizerConfig,
-                       maximize_nlocal, maximize_trilocal,
-                       visibility_threshold)
+                       _correlations, _ivalues, maximize_nlocal,
+                       maximize_trilocal, visibility_threshold)
 from .states import ghz_n_state
 
 EXIT_CONFIG_ERROR = 2
@@ -159,20 +159,27 @@ def _optimizer_config(opts):
         workers=_integer(opts, "workers", 1))
 
 
-def _family_point(opts):
+def _family_name(opts):
     family = opts.get("family")
     if not family:
         raise ConfigError("--family is required")
-    if family not in families.FAMILY_PARAMS:
-        raise ConfigError("unknown family %r" % family)
-    params = {}
-    for name in families.FAMILY_PARAMS[family]:
-        if opts.get(name) is not None:
-            params[name] = float(opts[name])
-    try:
-        families.family_state(family, params)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if not isinstance(family, str) or family not in families.FAMILY_PARAMS:
+        raise ConfigError("unknown family %r" % (family,))
+    return family
+
+
+def _given_params(opts, family):
+    """The parameters of family that opts sets, as floats."""
+    return {name: float(opts[name])
+            for name in families.FAMILY_PARAMS.get(family, ())
+            if opts.get(name) is not None}
+
+
+def _family_point(opts):
+    family = _family_name(opts)
+    params = _given_params(opts, family)
+    # raises ValueError on an invalid point, which main reports as such
+    families.family_state(family, params)
     return family, params
 
 
@@ -183,9 +190,7 @@ def _resolved_config(opts, cfg, extra=None):
     for key in ("family", "command", "format", "mode", "settings"):
         if opts.get(key) is not None:
             out[key] = opts[key]
-    for name in families.FAMILY_PARAMS.get(opts.get("family", ""), ()):
-        if opts.get(name) is not None:
-            out[name] = float(opts[name])
+    out.update(_given_params(opts, opts.get("family")))
     if extra:
         out.update(extra)
     return out
@@ -230,13 +235,8 @@ def _bundle_from_json(doc):
 
 
 def _ivalue_rows(table):
-    rows = []
-    for i1 in (0, 1):
-        for i2 in (0, 1):
-            for k in (0, 1):
-                rows.append({"i1": i1, "i2": i2, "k": k,
-                             "value": float(table[i1, i2, k])})
-    return rows
+    return [{"i1": i1, "i2": i2, "k": k, "value": float(table[i1, i2, k])}
+            for i1, i2, k in itertools.product((0, 1), repeat=3)]
 
 
 def _scores(table):
@@ -260,8 +260,9 @@ def cmd_violation(opts):
         net = TrilocalNetwork.from_shared_state(
             families.family_state(family, params))
         settings = bundle.nlocal()
-        table = transfer_ivalues(3, nlocal_transfers(net, settings),
-                                 np.array(settings.extreme_operators()))
+        corr = _correlations(net, settings.intermediates)
+        angles = [(o.theta, o.phi) for pair in settings.extremes for o in pair]
+        table = _ivalues(corr, np.ravel(angles))[0].reshape(2, 2, 2)
         evaluations = 0
     else:
         # table1 is an alias of optimize
@@ -300,13 +301,15 @@ def _parse_grid_spec(spec):
 
 
 def cmd_scan(opts):
-    family = opts.get("family")
-    if not family or family not in families.FAMILY_PARAMS:
-        raise ConfigError("--family is required")
+    family = _family_name(opts)
     cfg = _optimizer_config(opts)
     specs = opts.get("grid")
     if not specs:
         raise ConfigError("at least one --grid is required")
+    if not isinstance(specs, list) or not all(isinstance(spec, str)
+                                              for spec in specs):
+        raise ConfigError("grid must be a list of NAME=START:STOP:STEPS "
+                          "strings, not %r" % (specs,))
     axes = []
     for spec in specs:
         name, start, stop, steps = _parse_grid_spec(spec)
@@ -315,20 +318,14 @@ def cmd_scan(opts):
         if steps < 1:
             raise ConfigError("empty grid for %r" % name)
         axes.append((name, np.linspace(start, stop, steps)))
-    fixed = {}
-    for name in families.FAMILY_PARAMS[family]:
-        if name not in [a[0] for a in axes] and opts.get(name) is not None:
-            fixed[name] = float(opts[name])
+    names = [name for name, _ in axes]
+    fixed = {name: value for name, value in _given_params(opts, family).items()
+             if name not in names}
     rows = []
     evaluations = 0
-    names = [name for name, _ in axes]
     # the first --grid varies slowest
     for point in itertools.product(*(values for _, values in axes)):
         params = dict(fixed, **dict(zip(names, map(float, point))))
-        try:
-            families.family_state(family, params)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
         opt = maximize_trilocal((family, params), cfg)
         evaluations += opt.evaluations
         row = dict(params)

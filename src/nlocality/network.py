@@ -2,17 +2,17 @@
 
 The n-local star network has n sources of n qubits, n extreme parties
 A_1..A_n and n-1 intermediates B_1..B_{n-1}; source i sends qubit 0 to A_i
-and qubit j to B_j.  The network state is never built.  `_reduced_table`
-contracts the sources with one operator per intermediate (the identity or
-one of its observables) and leaves every extreme open, which gives a
-2^n x 2^n reduced operator R on the extremes per choice tuple.  It works in
-the Pauli basis: every intermediate operator is diagonal in the GHZ basis
-and so a short sum of Pauli strings, each putting one Pauli on one wire of
-every source, and R is a sum over term tuples of Kronecker products of
-per-source 2 x 2 blocks (Tavakoli et al., PRA 90, 062109 (2014)).  At
-n = 4 a transfer table takes milliseconds.  Transfers (the entries without
-identity), behaviors (each extreme then contracted with I, A_0 or A_1) and
-swapped states (a signed sum of entries) all come from that table.
+and qubit j to B_j.  The network state is never built.  `_pauli_table`
+gives the real correlation tensor T[c, j_1..j_n] = <O_c x s_j1 x ... x
+s_jn> for every tuple c of intermediate operator choices (the identity or
+one of its observables) and every Pauli string j on the extremes.  Every
+intermediate operator is diagonal in the GHZ basis and so a short sum of
+Pauli strings, each putting one Pauli on one wire of every source, and T is
+a sum over term tuples of outer products of per-source Pauli coefficients
+(Tavakoli et al., PRA 90, 062109 (2014)).  At n = 4 a table takes
+milliseconds.  The optimizer reads its X, Y, Z coordinates, behaviors
+contract each extreme with I, A_0 or A_1 in Pauli coordinates, and the
+transfers and swapped states convert it to operators on the extremes.
 
 The trilocal scenario is the n = 3 case.  Its three sources of three
 qubits feed five parties in the order A (1 qubit), B (3), C (3), D (1),
@@ -286,79 +286,81 @@ class NLocalSettings:
                 for pair in self.intermediates]
 
 
-def _pauli_blocks(op, k):
-    """Tr over the last k qubits of op (I x s_q1 x ... x s_qk) for every q.
+@functools.lru_cache(maxsize=None)
+def _pauli_strings(n):
+    """The transposed Pauli strings s_p1^T x ... x s_pn^T (index 0..3 for
+    I, X, Y, Z), p_1 the most significant, shape (4^n, 2^n, 2^n): the
+    basis of the Pauli transform, since Tr(A s) = sum(A * s^T)."""
+    return np.array([kron(*ps) for ps in
+                     itertools.product(PAULIS.transpose(0, 2, 1), repeat=n)])
 
-    Returns axes (q_1..q_k, row, col): one block on the leading qubits per
-    Pauli string on the traced ones (index 0..3 for I, X, Y, Z).
-    """
-    op = np.asarray(op, dtype=complex)
-    d = op.shape[0] >> k
-    t = op.reshape(((d,) + (2,) * k) * 2)
-    for m in range(k, 0, -1):
-        # Tr(A s) = sum A[r, c] s[c, r]: the row index of the first
-        # remaining wire pairs with the Pauli's column, its column with the row
-        t = np.tensordot(t, PAULIS, axes=([1, m + 2], [2, 1]))
-    return np.moveaxis(t, (0, 1), (-2, -1))
+
+def _pauli_coefficients(op, n):
+    """Tr(op s_p1 x ... x s_pn) of an n-qubit Hermitian operator for every
+    Pauli string p, real, axes (p_1..p_n)."""
+    flat = _pauli_strings(n).reshape(4 ** n, -1) @ np.ravel(op)
+    return flat.real.reshape((4,) * n)
 
 
 def _pauli_terms(op, n):
     """Nonzero coefficients Tr(op s_p) / 2^n of an n-qubit operator (None
     for identity) with their Pauli index rows p, shape (terms, n)."""
     if op is None:
-        return np.ones(1, dtype=complex), np.zeros((1, n), dtype=int)
-    coef = _pauli_blocks(op, n)[..., 0, 0] / 2 ** n
+        return np.ones(1), np.zeros((1, n), dtype=int)
+    coef = _pauli_coefficients(op, n) / 2 ** n
     rows = np.argwhere(np.abs(coef) > PAULI_TERM_TOL)
     return coef[tuple(rows.T)], rows
 
 
-def _reduced_table(net, choices):
-    """R[c_1..c_{n-1}] for every tuple of intermediate operator choices.
-
+def _pauli_table(net, choices):
+    """The real T[c_1..c_{n-1}, j_1..j_n] = <O_c x s_j1 x ... x s_jn>:
     choices[j] lists the operators (None for identity) of intermediate
-    B_{j+1}.  R[c] is the 2^n x 2^n operator on the extremes (A_1 the most
-    significant qubit) such that the expectation of the chosen intermediate
-    operators times extreme observables E is sum(R[c] * kron(E)).
+    B_{j+1}, O_c is the product of the chosen ones and s_ji is Pauli j_i on
+    extreme A_i.
 
     Each intermediate operator is a sum of Pauli strings whose qubit i sits
-    on source i, so with B_i[q] the Pauli blocks of source i on its
-    intermediate wires, R[c]^T = sum over term tuples of
-    prod_j coef_j * kron_i B_i[p_(1,i)..p_(n-1,i)].
+    on source i, so with F_i[p, j] the Pauli coefficients of source i (p on
+    its intermediate wires, j on its extreme wire, moved last), T[c] is a
+    sum over term tuples of prod_j coef_j * outer_i F_i[p_(1,i)..p_(n-1,i)].
     """
     n = net.n
-    blocks = [_pauli_blocks(s, n - 1) for s in net.source_states]
+    sources = [np.moveaxis(_pauli_coefficients(s, n), 0, -1)
+               for s in net.source_states]
     terms = [[_pauli_terms(op, n) for op in ops] for ops in choices]
     shape = tuple(len(c) for c in choices)
-    # m has axes (a_1 b_1 .. a_n b_n) of R^T = M; R lists the b's first
-    to_r = [2 * i + 1 for i in range(n)] + [2 * i for i in range(n)]
-    out = np.empty(shape + (2 ** n, 2 ** n), dtype=complex)
+    out = np.empty(shape + (4 ** (n - 1), 4))
     for idx in itertools.product(*map(range, shape)):
         coefs, rows = zip(*(t[c] for t, c in zip(terms, idx)))
-        # one flat axis k over the term tuples: gather each source's block
-        # at its Pauli indices, grow the Kronecker product one source at a
-        # time and sum the last source out with a matrix product
+        # one flat axis k over the term tuples: gather each source's
+        # coefficients at its Pauli indices, grow the outer product one
+        # source at a time and sum the last source out with a matrix product
         grid = [np.ix_(*(r[:, i] for r in rows)) for i in range(n)]
         x = functools.reduce(np.multiply.outer, coefs).reshape(-1, 1)
         for i in range(n - 1):
-            g = blocks[i][grid[i]].reshape(-1, 1, 4)
+            g = sources[i][grid[i]].reshape(-1, 1, 4)
             x = (x[:, :, None] * g).reshape(len(g), -1)
-        m = x.T @ blocks[-1][grid[-1]].reshape(-1, 4)
-        out[idx] = m.reshape((2, 2) * n).transpose(to_r).reshape(2 ** n,
-                                                                  2 ** n)
-    return out
+        out[idx] = x.T @ sources[-1][grid[-1]].reshape(-1, 4)
+    return out.reshape(shape + (4,) * n)
+
+
+def _operators(table, n):
+    """The operators R[c] on the extremes of a _pauli_table, such that the
+    expectation of O_c times extreme observables E is sum(R[c] * kron(E)):
+    R[c]^T = sum_j T[c, j] s_j1 x ... x s_jn / 2^n."""
+    flat = table.reshape(-1, 4 ** n) @ _pauli_strings(n).reshape(4 ** n, -1)
+    return (flat / 2 ** n).reshape(table.shape[:-n] + (2 ** n, 2 ** n))
 
 
 def nlocal_behavior(net, settings):
     """Behavior with parties ordered (A_1..A_n, B_1..B_{n-1})."""
     n = net.n
     p = 2 * n - 1
-    table = _reduced_table(net, [[None] + ops for ops in
-                                 settings.intermediate_operators()])
-    eye = np.eye(2, dtype=complex)
-    t = table.reshape((3,) * (n - 1) + (2,) * (2 * n))
-    for i, pair in enumerate(settings.extreme_operators()):
-        ops = np.array([eye] + pair, dtype=complex)
-        t = np.tensordot(t, ops, axes=([n - 1, 2 * n - 1 - i], [1, 2]))
+    t = _pauli_table(net, [[None] + ops for ops in
+                           settings.intermediate_operators()])
+    for pair in settings.extreme_operators():
+        # Pauli coordinates Tr(E s_j) / 2 of I, A_0 and A_1
+        rows = [_pauli_coefficients(e, 1) / 2 for e in [np.eye(2)] + pair]
+        t = np.tensordot(t, rows, axes=([n - 1], [1]))
     # axes (B_1..B_{n-1}, A_1..A_n) -> party order
     expect = np.moveaxis(t, range(n - 1), range(n, p))
     probs = _behavior_from_expectations(expect, p)
@@ -372,7 +374,8 @@ def nlocal_transfers(net, settings):
     R[y_vec] a 2^n x 2^n operator such that the full correlator is
     sum_ab R[y_vec][a, b] * (A_{x_1} x ... x A_{x_n})[a, b].
     """
-    return _reduced_table(net, settings.intermediate_operators())
+    return _operators(_pauli_table(net, settings.intermediate_operators()),
+                      net.n)
 
 
 def transfer_ivalues(n, transfers, ext_obs):
@@ -382,8 +385,8 @@ def transfer_ivalues(n, transfers, ext_obs):
     Returns an array indexed by intermediate tuple then parity bit k.
     """
     # axes: y_1..y_{n-1}, ket a_1..a_n, bra b_1..b_n; contract one party at
-    # a time (the optimizers score on a real correlation tensor instead;
-    # this runs once per result to report the I table)
+    # a time (the matrix-form reference: the optimizer and the reports read
+    # the Pauli coordinates of _pauli_table instead)
     t = transfers.reshape((2,) * (n - 1) + (2,) * (2 * n))
     for i in range(n):
         t = np.tensordot(t, ext_obs[i], axes=([n - 1, 2 * n - 1 - i], [1, 2]))
@@ -457,7 +460,7 @@ def swap_table(net, settings, y, z):
     pair (b, c) of the settings (y, z) conditions on this one table."""
     ob = partial_ghz_observable(settings.b[y])
     oc = partial_ghz_observable(settings.c[z])
-    return _reduced_table(net, [[None, ob], [None, oc]])
+    return _operators(_pauli_table(net, [[None, ob], [None, oc]]), 3)
 
 
 def swapped_state_from_table(r, b_out, c_out):

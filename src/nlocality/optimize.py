@@ -15,12 +15,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import families
-from .measurements import _SX, _SY, _SZ, BlochObservable, GHZGrouping
+from .measurements import BlochObservable, GHZGrouping, partial_ghz_observable
 from .network import (NLocalSettings, SettingsBundle, TrilocalNetwork,
                       ZERO_IVALUE_TOL, _best_pair, _pair_structure,
-                      _restricted_score, nlocal_transfers, transfer_ivalues)
-
-_PAULIS = np.stack([_SX, _SY, _SZ])
+                      _pauli_table, _restricted_score)
 
 
 class NoBracketError(RuntimeError):
@@ -66,12 +64,8 @@ class ThresholdResult:
 
 def angles_to_observables(angles):
     """Stack Bloch matrices: angles (theta, phi) pairs -> (k, 2, 2, 2)."""
-    angles = np.asarray(angles, dtype=float).reshape(-1, 2, 2)
-    theta = angles[..., 0]
-    phi = angles[..., 1]
-    return (np.sin(theta) * np.cos(phi))[..., None, None] * _SX \
-        + (np.sin(theta) * np.sin(phi))[..., None, None] * _SY \
-        + np.cos(theta)[..., None, None] * _SZ
+    return np.array([[o.matrix() for o in pair]
+                     for pair in _angles_to_bloch_pairs(angles)])
 
 
 def _multistart(objective, dim, cfg, rng, extra_starts=()):
@@ -135,35 +129,56 @@ def _nlocal_settings(groupings, angles):
                           intermediates=tuple(tuple(p) for p in groupings))
 
 
-def _objective(n, transfers, coherent_mask, root, share_tail):
-    """Score of 4n extreme angles for fixed n-local transfers, with its
-    gradient in the angles.
+def _correlations(net, groupings):
+    """C[i_1..i_n, y_vec], flattened to (3^n, 2^(n-1)): the X, Y, Z
+    coordinates of the _pauli_table of the intermediate groupings, / 2^n.
 
-    The score equals _restricted_score(transfer_ivalues(n, transfers,
-    angles_to_observables(angles)), coherent_mask, root, share_tail)[0], but
-    is evaluated on a real tensor C: the correlator is multilinear in the
-    extreme Bloch vectors, so with m = (n_0 + n_1)/2 and d = (n_0 - n_1)/2
-    per party, I[y_vec, 0] is C contracted with m_1 x ... x m_n and
-    I[y_vec, 1] with d_1 x ... x d_n.
+    The correlator is multilinear in the extreme Bloch vectors, so with
+    m = (n_0 + n_1)/2 and d = (n_0 - n_1)/2 per party, I[y_vec, 0] is the
+    table contracted with m_1 x ... x m_n and I[y_vec, 1] with d_1 x ... x
+    d_n; C takes the n halvings, exactly since 2^n is a power of two.
+    """
+    n = net.n
+    table = _pauli_table(net, [[partial_ghz_observable(g) for g in pair]
+                               for pair in groupings])
+    xyz = table[(Ellipsis,) + (slice(1, None),) * n] / 2 ** n
+    return xyz.reshape(2 ** (n - 1), 3 ** n).T
+
+
+def _ivalues(corr, angles):
+    """The I table of 4n extreme angles (theta, phi per party and setting)
+    on _correlations corr, as I[y, k] with rows y numbering y_vec
+    row-major; also the vectors v[k] = n_0 +- n_1, axes (k, x/y/z, party),
+    and the sines and cosines of theta and phi, which the gradient reuses.
+    """
+    s = np.sin(angles)
+    c = np.cos(angles)
+    st, ct = s[0::2], c[0::2]
+    sp, cp = s[1::2], c[1::2]
+    # Bloch vectors: axes (x/y/z, 2 * party + setting)
+    b = np.array((st * cp, st * sp, ct))
+    b0 = b[:, 0::2]
+    b1 = b[:, 1::2]
+    v = np.array((b0 + b1, b0 - b1))
+    # outer product over the parties, A_1 the most significant digit
+    prod = v[:, :, 0]
+    for i in range(1, v.shape[2]):
+        prod = (prod[:, :, None] * v[:, None, :, i]).reshape(2, -1)
+    return (prod @ corr).T, v, (st, ct, sp, cp)
+
+
+def _objective(n, corr, coherent_mask, root, share_tail):
+    """Score of 4n extreme angles on _correlations corr, with its gradient
+    in the angles: _restricted_score of their _ivalues.
 
     The score is the largest of finitely many smooth pieces, one per
     scored pair of I-values.  The gradient is that of the pair _best_pair
     picks, so it is exact wherever the winner is unique; I-values below
     ZERO_IVALUE_TOL contribute nothing to it.
     """
-    # C[y_vec, i_1..i_n] = Re sum R[y_vec] * (s_i1 x ... x s_in) over the
-    # Pauli matrices; the n halvings of m and d fold into C as 1/2^n,
-    # exactly since it is a power of two
-    t = transfers.reshape((2,) * (n - 1) + (2,) * (2 * n))
-    for i in range(n):
-        t = np.tensordot(t, _PAULIS, axes=([n - 1, 2 * n - 1 - i], [1, 2]))
-    rows = 2 ** (n - 1)
-    corr = (t.real / 2 ** n).reshape(rows, 3 ** n).T
+    rows = corr.shape[1]
     pairs = _pair_structure(rows, coherent_mask, share_tail)
     inv_root = 1.0 / root
-    # party i's vectors broadcast along axis 1 + i of the outer product
-    slots = [(slice(None),) + (None,) * i + (slice(None),)
-             + (None,) * (n - 1 - i) + (i,) for i in range(n)]
     # dI/dv_p is C contracted with every party but p.  For each p and each
     # digit tuple j of the other parties: flat_at[p, i, j] is the index of
     # the outer product with digit i inserted at p, and rest_at[p, j] are
@@ -176,21 +191,8 @@ def _objective(n, transfers, coherent_mask, root, share_tail):
     rest_at = rest[None] * n + others[:, None, :]
 
     def objective(angles):
-        s = np.sin(angles)
-        c = np.cos(angles)
-        st, ct = s[0::2], c[0::2]
-        sp, cp = s[1::2], c[1::2]
-        # Bloch vectors: axes (x/y/z, 2 * party + setting)
-        b = np.array((st * cp, st * sp, ct))
-        b0 = b[:, 0::2]
-        b1 = b[:, 1::2]
-        v = np.array((b0 + b1, b0 - b1))  # axes (k, x/y/z, party)
-        prod = v[slots[0]]
-        for slot in slots[1:]:
-            prod = prod * v[slot]
-        # I-values by (k, row), rows numbering y_vec row-major
-        ivals = prod.reshape(2, -1) @ corr
-        a = np.abs(ivals).tolist()
+        ivals, v, (st, ct, sp, cp) = _ivalues(corr, angles)
+        a = np.abs(ivals).T.tolist()
         best, y0, y1 = _best_pair(a[0], a[1], pairs, root)
         winners = [(k, y) for k, y in ((0, y0), (1, y1))
                    if a[k][y] >= ZERO_IVALUE_TOL]
@@ -201,7 +203,7 @@ def _objective(n, transfers, coherent_mask, root, share_tail):
         w = np.zeros((2, rows))
         for k, y in winners:
             slope = inv_root * a[k][y] ** (inv_root - 1.0)
-            w[k, y] = slope if ivals[k, y] > 0 else -slope
+            w[k, y] = slope if ivals[y, k] > 0 else -slope
         g = w @ corr.T
         rest_prod = v.reshape(2, -1).take(rest_at, axis=1).prod(axis=-1)
         dv = (g.take(flat_at, axis=1) @ rest_prod[..., None])[..., 0]
@@ -218,33 +220,30 @@ def _objective(n, transfers, coherent_mask, root, share_tail):
 
 
 def _problem(net, groupings, restricted):
-    """Transfers, scored first-intermediate settings, root and objective.
+    """Correlations, scored first-intermediate settings, root, objective.
 
     restricted selects the designed family (coherent B_1 settings, shared
     later settings, root n); otherwise every tuple is free and the root
     is 1.
     """
-    n = net.n
-    transfers = nlocal_transfers(net, _nlocal_settings(groupings,
-                                                       np.zeros(4 * n)))
+    corr = _correlations(net, groupings)
     if restricted:
         mask = [y for y in (0, 1) if groupings[0][y].is_coherent()] or [0, 1]
-        root = n
+        root = net.n
     else:
         mask = [0, 1]
         root = 1
-    objective = _objective(n, transfers, mask, root, restricted)
-    return transfers, mask, root, objective
+    return corr, mask, root, _objective(net.n, corr, mask, root, restricted)
 
 
 def _optimize(net, groupings, cfg, restricted, rng, extra_starts=()):
     """Multistart maximization; the result's settings are left to the
     caller, which knows the scenario's settings type.  rng is the start
     stream of the calling search, created once from cfg.seed."""
-    transfers, mask, root, objective = _problem(net, groupings, restricted)
+    corr, mask, root, objective = _problem(net, groupings, restricted)
     best, x, evals = _multistart(objective, 4 * net.n, cfg, rng,
                                  extra_starts)
-    ivals = transfer_ivalues(net.n, transfers, angles_to_observables(x))
+    ivals = _ivalues(corr, x)[0].reshape((2,) * net.n)
     _, t0, t1 = _restricted_score(ivals, mask, root, share_tail=restricted)
     return OptimizationResult(best, None, t0, t1, ivals, x, evals)
 

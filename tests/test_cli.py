@@ -264,6 +264,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "supported network sizes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"family": "gghz", "alpha": 0.5, "grid": "alpha=0:1:2"},
+     "grid must be a list of NAME=START:STOP:STEPS strings"),
+    ({"family": "gghz", "grid": [3]},
+     "grid must be a list of NAME=START:STOP:STEPS strings"),
+    ({"family": "nosuch", "grid": ["alpha=0:1:2"]},
+     "unknown family 'nosuch'"),
+    ({"family": ["gghz"], "grid": ["alpha=0:1:2"]},
+     "unknown family ['gghz']"),
+], ids=["string-grid", "number-in-grid", "unknown-family", "list-family"])
+def test_scan_config_errors_name_the_fault(tmp_path, capsys, fields,
+                                           message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    capsys.readouterr()
+    assert main(["scan", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_threshold_without_crossing_exits_3(monkeypatch, capsys):
     def below_one(net, groupings, cfg, restricted, rng, extra_starts=()):
         return OptimizationResult(0.5, None, (0, 0), (0, 0), None,

@@ -6,13 +6,15 @@ from scipy.optimize import minimize
 
 from nlocality import optimize
 from nlocality.families import family_groupings, family_state
-from nlocality.network import (NLocalNetwork, TrilocalNetwork,
-                               transfer_ivalues)
+from nlocality.network import (NLocalNetwork, NLocalSettings,
+                               TrilocalNetwork, _restricted_score,
+                               nlocal_transfers, transfer_ivalues)
 from nlocality.optimize import (NoBracketError, OptimizationResult,
                                 OptimizerConfig, _problem,
                                 angles_to_observables,
                                 default_nlocal_groupings, maximize_local,
-                                maximize_trilocal, visibility_threshold)
+                                maximize_nlocal, maximize_trilocal,
+                                visibility_threshold)
 from nlocality.states import ghz_n_state
 from test_network import enumerated_score
 
@@ -42,7 +44,8 @@ def test_angles_to_observables():
 def assert_objective_matches_reference(net, groupings, restricted):
     """The tensor objective equals transfer_ivalues + the enumerated
     score."""
-    transfers, mask, root, objective = _problem(net, groupings, restricted)
+    _, mask, root, objective = _problem(net, groupings, restricted)
+    transfers = nlocal_transfers(net, NLocalSettings((), tuple(groupings)))
     assert root == (net.n if restricted else 1)
     rng = np.random.default_rng(5)
     for angles in rng.uniform(0.0, 2 * np.pi, (200, 4 * net.n)):
@@ -137,6 +140,29 @@ def test_evaluations_are_scipy_function_evaluations(monkeypatch):
     res = optimize.maximize_nlocal(net, OptimizerConfig(restarts=3, seed=1))
     assert len(nfev) == 3
     assert res.evaluations == sum(nfev)
+
+
+@pytest.mark.parametrize("target, restricted, cfg", [
+    (("gghz", {"alpha": 0.2}), True, OptimizerConfig(restarts=4, seed=0)),
+    (("gghz", {"alpha": 0.5}), False, OptimizerConfig(restarts=4, seed=0)),
+    (2, True, OptimizerConfig(restarts=4, seed=0)),
+    (4, True, OptimizerConfig(restarts=4, seed=3)),
+], ids=["gghz-0.2", "gghz-0.5-local", "ghz-n2", "ghz-n4"])
+def test_reported_ivalues_reproduce_the_score(target, restricted, cfg):
+    # the score and the reported I table come from the same numbers, so
+    # they agree exactly, not within a tolerance
+    if isinstance(target, int):
+        net = NLocalNetwork.from_states(target, [ghz_n_state(target)] * target)
+        groupings = default_nlocal_groupings(target)
+        res = maximize_nlocal(net, cfg)
+    else:
+        net = TrilocalNetwork.from_shared_state(family_state(*target))
+        groupings = family_groupings(target[0])
+        res = (maximize_trilocal if restricted else maximize_local)(target,
+                                                                    cfg)
+    _, mask, root, _ = _problem(net, groupings, restricted)
+    assert _restricted_score(res.i_values, mask, root,
+                             share_tail=restricted)[0] == res.score
 
 
 def test_optimizer_is_deterministic():
