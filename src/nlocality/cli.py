@@ -46,10 +46,10 @@ def _add_common(parser):
     parser.add_argument("--restarts", type=int, default=None)
     parser.add_argument("--max-iterations", type=int, default=None,
                         dest="max_iterations",
-                        help="L-BFGS-B iterations per restart (default 2000)")
+                        help="BFGS iterations per restart (default 2000)")
     parser.add_argument("--tolerance", type=float, default=None,
-                        help="L-BFGS-B ftol: relative score change that "
-                             "ends a restart (default 1e-9)")
+                        help="relative score change of one BFGS iteration "
+                             "that ends a restart (default 1e-9)")
     parser.add_argument("--workers", type=int, default=None,
                         help="accepted and echoed in the report config; "
                              "restarts always run serially")
@@ -340,7 +340,7 @@ def cmd_scan(opts):
 
 
 def cmd_threshold(opts):
-    family = opts.get("family")
+    family = _family_name(opts)
     if family not in _THRESHOLD_FAMILIES:
         raise ConfigError("threshold families: %s"
                           % ", ".join(_THRESHOLD_FAMILIES))

@@ -9,10 +9,10 @@ network module remain unrestricted.  `maximize_local` is unrestricted.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import families
 from .measurements import BlochObservable, GHZGrouping, partial_ghz_observable
@@ -68,12 +68,119 @@ def angles_to_observables(angles):
                      for pair in _angles_to_bloch_pairs(angles)])
 
 
-def _multistart(objective, dim, cfg, rng, extra_starts=()):
-    """Best L-BFGS-B maximum from cfg.restarts starts drawn from rng
-    (theta in [0, pi), phi in [0, 2 pi)) and then the extra starts.
+@dataclass(frozen=True)
+class MinimizeResult:
+    x: np.ndarray
+    fun: float
+    nfev: int    # calls of fun
+    nit: int     # iterations that moved x
 
-    objective returns (score, gradient); evals counts its calls, one per
-    scipy function evaluation.
+
+def _line_search(fun, x, f, g, d, step):
+    """Step t along the descent direction d from (x, f, g) with a value
+    below f + c1 t g.d and, where the search finds one within 20 trials,
+    |slope| <= -c2 g.d (strong Wolfe, c1 = 1e-4, c2 = 0.9).  Steps
+    quadruple until a bracket is found; then each trial is the minimizer
+    of the cubic through the values and slopes at the bracket's ends,
+    kept inside its middle 80 %.
+
+    Returns (t, value, gradient, calls of fun); t is 0 where no trial
+    lowered the value.
+    """
+    c1, c2 = 1e-4, 0.9
+    slope0 = float(g @ d)
+    lo = (0.0, f, g, slope0)
+    hi = None
+    t = step
+    for calls in range(1, 21):
+        ft, gt = fun(x + t * d)
+        st = float(gt @ d)
+        if ft > f + c1 * t * slope0 or ft >= lo[1]:
+            hi = (t, ft, gt, st)
+        elif abs(st) <= -c2 * slope0:
+            return t, ft, gt, calls
+        else:
+            if st >= 0 if hi is None else st * (hi[0] - t) >= 0:
+                hi = lo
+            lo = (t, ft, gt, st)
+        if hi is None:
+            t *= 4.0
+            continue
+        (a, fa, _, sa), (b, fb, _, sb) = lo, hi
+        width = abs(b - a)
+        if width <= 1e-12 * max(a, b):
+            break
+        d1 = sa + sb - 3.0 * (fa - fb) / (a - b)
+        d2 = math.copysign(math.sqrt(max(d1 * d1 - sa * sb, 0.0)), b - a)
+        denom = sb - sa + 2.0 * d2
+        t = b - (b - a) * (sb + d2 - d1) / denom if denom else (a + b) / 2
+        t = min(max(t, min(a, b) + 0.1 * width), max(a, b) - 0.1 * width)
+    return lo[0], lo[1], lo[2], calls
+
+
+def minimize(fun, x0, max_iterations, tolerance, gtol=1e-5):
+    """BFGS minimum of fun, which returns (value, gradient), from x0.
+
+    Each iteration runs _line_search along -H g, H the BFGS inverse
+    Hessian of the steps so far grown from gamma I.  H is affine in
+    gamma, so it is kept as gamma A + B and every step rescales it by its
+    own gamma = s.y / y.y, as L-BFGS does.  The first step, and any step
+    where -H g is not a descent direction, is steepest descent of length
+    at most 1.  Stops when no gradient entry exceeds gtol, after
+    max_iterations iterations, when the line search lowers nothing, or
+    after an iteration whose decrease is at most tolerance * max(|f|,
+    |f_new|, 1).
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    nfev, nit = 1, 0
+    ab = gamma = None
+    while nit < max_iterations and np.abs(g).max() > gtol:
+        if ab is not None:
+            ag, bg = ab @ g
+            d = -(gamma * ag + bg)
+            step = 1.0
+        if ab is None or g @ d >= 0:
+            ab = None
+            d = -g
+            step = min(1.0, 1.0 / math.sqrt(g @ g))
+        t, f_new, g_new, calls = _line_search(fun, x, f, g, d, step)
+        nfev += calls
+        if t == 0.0:
+            break
+        nit += 1
+        converged = f - f_new <= tolerance * max(abs(f), abs(f_new), 1.0)
+        s = t * d
+        y = g_new - g
+        x = x + s
+        f, g = f_new, g_new
+        if converged:
+            break
+        sy = s @ y
+        if sy > 0:
+            if ab is None:
+                ab = np.array([np.eye(x.size), np.zeros((x.size, x.size))])
+            ab = _bfgs_update(ab, s, y, sy)
+            gamma = sy / (y @ y)
+    return MinimizeResult(x, float(f), nfev, nit)
+
+
+def _bfgs_update(ab, s, y, sy):
+    """BFGS update H' = V^T H V + s s^T / sy, V = I - y s^T / sy, of both
+    parts of H = gamma A + B (ab stacks A, B); only B takes s s^T / sy."""
+    v = np.eye(s.size) - (y / sy)[:, None] * s
+    out = v.T @ ab @ v
+    out[1] += (s / sy)[:, None] * s
+    return out
+
+
+def _multistart(objective, dim, cfg, rng, extra_starts=()):
+    """Best maximum of objective over one minimize run on its negation
+    from each of cfg.restarts starts drawn from rng (theta in [0, pi), phi
+    in [0, 2 pi)) and then each of the extra starts.
+
+    objective returns (score, gradient); evals counts its calls, the total
+    of the restarts' nfev.
     """
     starts = rng.uniform(0.0, np.pi, (cfg.restarts, dim))
     starts[:, 1::2] *= 2.0
@@ -88,9 +195,7 @@ def _multistart(objective, dim, cfg, rng, extra_starts=()):
 
     best_val = best_x = None
     for x0 in starts:
-        res = minimize(wrapped, x0, jac=True, method="L-BFGS-B",
-                       options=dict(maxiter=cfg.max_iterations,
-                                    ftol=cfg.tolerance))
+        res = minimize(wrapped, x0, cfg.max_iterations, cfg.tolerance)
         if best_x is None or -res.fun > best_val + 1e-15:
             best_val, best_x = -res.fun, res.x
     return best_val, best_x, evals

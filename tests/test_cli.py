@@ -283,6 +283,19 @@ def test_scan_config_errors_name_the_fault(tmp_path, capsys, fields,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, message", [
+    (["gghz"], "unknown family ['gghz']"),
+    ("gghz", "threshold families: depolarized, amplitude, phase"),
+], ids=["list-family", "no-noise-parameter"])
+def test_threshold_config_family_errors_exit_2(tmp_path, capsys, family,
+                                               message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": family}))
+    capsys.readouterr()
+    assert main(["threshold", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_threshold_without_crossing_exits_3(monkeypatch, capsys):
     def below_one(net, groupings, cfg, restricted, rng, extra_starts=()):
         return OptimizationResult(0.5, None, (0, 0), (0, 0), None,

@@ -1,9 +1,13 @@
 """Tests for the optimizer layer (fast checks; bounds live in acceptance)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
+import nlocality
 from nlocality import optimize
 from nlocality.families import family_groupings, family_state
 from nlocality.network import (NLocalNetwork, NLocalSettings,
@@ -13,7 +17,7 @@ from nlocality.optimize import (NoBracketError, OptimizationResult,
                                 OptimizerConfig, _problem,
                                 angles_to_observables,
                                 default_nlocal_groupings, maximize_local,
-                                maximize_nlocal, maximize_trilocal,
+                                maximize_nlocal, maximize_trilocal, minimize,
                                 visibility_threshold)
 from nlocality.states import ghz_n_state
 from test_network import enumerated_score
@@ -122,7 +126,7 @@ def test_objective_gradient_is_zero_without_ivalues():
     assert np.array_equal(grad, np.zeros(12))
 
 
-def test_evaluations_are_scipy_function_evaluations(monkeypatch):
+def test_evaluations_are_minimize_evaluations(monkeypatch):
     nfev = []
 
     def counted(*args, **kwargs):
@@ -140,6 +144,105 @@ def test_evaluations_are_scipy_function_evaluations(monkeypatch):
     res = optimize.maximize_nlocal(net, OptimizerConfig(restarts=3, seed=1))
     assert len(nfev) == 3
     assert res.evaluations == sum(nfev)
+
+
+def quadratic(dim, seed):
+    """f(x) = x.Q x / 2 - b.x with a random positive definite Q, and its
+    minimizer."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim))
+    q = m @ m.T + dim * np.eye(dim)
+    b = rng.normal(size=dim)
+
+    def fun(x):
+        qx = q @ x
+        return 0.5 * x @ qx - b @ x, qx - b
+
+    return fun, np.linalg.solve(q, b)
+
+
+def test_minimize_reaches_gtol_on_a_convex_quadratic():
+    fun, xmin = quadratic(8, 0)
+    # a tolerance of 0 leaves the gradient test as the only stop
+    res = minimize(fun, np.ones(8), 2000, 0.0)
+    assert np.abs(fun(res.x)[1]).max() <= 1e-5
+    assert np.abs(res.x - xmin).max() <= 1e-5
+    assert res.fun == fun(res.x)[0]
+    assert 0 < res.nit < 100
+
+
+def test_minimize_counts_every_call():
+    fun, _ = quadratic(5, 1)
+    calls = []
+
+    def counted(x):
+        calls.append(x.copy())
+        return fun(x)
+
+    res = minimize(counted, np.zeros(5), 2000, 1e-9)
+    assert res.nfev == len(calls) > res.nit > 0
+
+
+def test_minimize_stops_after_max_iterations():
+    fun, _ = quadratic(6, 2)
+    x0 = np.ones(6)
+    res = minimize(fun, x0, 1, 1e-9)
+    assert res.nit == 1
+    assert res.fun < fun(x0)[0]
+    assert np.abs(fun(res.x)[1]).max() > 1e-5
+    assert minimize(fun, x0, 2000, 1e-9).nit > 1
+
+
+def test_minimize_returns_a_zero_gradient_start_after_one_call():
+    # maximally mixed sources give every I-value 0, hence a zero gradient
+    net = NLocalNetwork.from_states(3, [np.eye(8) / 8] * 3)
+    _, _, _, objective = _problem(net, default_nlocal_groupings(3), True)
+    calls = []
+
+    def negated(x):
+        calls.append(x)
+        score, grad = objective(x)
+        return -score, -grad
+
+    x0 = np.linspace(0.1, 2.0, 12)
+    res = minimize(negated, x0, 2000, 1e-9)
+    assert len(calls) == res.nfev == 1
+    assert res.nit == 0
+    assert np.array_equal(res.x, x0)
+    assert res.fun == 0.0
+
+
+def test_minimize_falls_back_to_steepest_descent(monkeypatch):
+    # an update that flips the sign of H makes -H g an ascent direction;
+    # minimize must then step along -g instead, or it could not descend
+    fun, xmin = quadratic(4, 3)
+    steps = []
+
+    def flipped(ab, s, y, sy):
+        steps.append(s)
+        return -ab
+
+    monkeypatch.setattr(optimize, "_bfgs_update", flipped)
+    x0 = np.ones(4)
+    res = minimize(fun, x0, 2000, 0.0)
+    assert len(steps) == res.nit > 1
+    assert np.abs(res.x - xmin).max() <= 1e-5
+    x = x0
+    for s in steps:
+        g = fun(x)[1]
+        assert s @ g <= -(1 - 1e-12) * np.linalg.norm(s) * np.linalg.norm(g)
+        x = x + s
+
+
+def test_importing_the_package_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(nlocality.__file__))
+    code = ("import sys, nlocality, nlocality.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("target, restricted, cfg", [
