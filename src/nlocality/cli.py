@@ -16,13 +16,12 @@ import sys
 import numpy as np
 
 from . import __version__, families
-from .analysis import (bell_evaluate, load_bell_functional, negativity,
+from .analysis import (bell_evaluate, negativity, parse_bell_functional,
                        separability_check, tripartite_behavior)
 from .lhv import appendix_b_responses, product_ivalues
 from .measurements import BlochObservable, parse_grouping
 from .network import (SUPPORTED_N, NLocalNetwork, SettingsBundle,
-                      TrilocalNetwork, _restricted_score, swap_table,
-                      swapped_state_from_table)
+                      TrilocalNetwork, _restricted_score, swapped_state)
 from .optimize import (_THRESHOLD_FAMILIES, NoBracketError, OptimizerConfig,
                        _correlations, _ivalues, maximize_nlocal,
                        maximize_trilocal, visibility_threshold)
@@ -30,6 +29,8 @@ from .states import ghz_n_state
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
+FORMATS = ("json", "csv")
+SETTINGS_MODES = ("table1", "optimize", "file")
 
 
 class ConfigError(Exception):
@@ -40,7 +41,7 @@ def _add_common(parser):
     parser.add_argument("--config", help="JSON config file; command-line "
                         "flags override fields of the same name")
     parser.add_argument("--output", help="write the report to this path")
-    parser.add_argument("--format", choices=("json", "csv"), default=None,
+    parser.add_argument("--format", choices=FORMATS, default=None,
                         help="output format (default json)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--restarts", type=int, default=None)
@@ -74,8 +75,7 @@ def build_parser():
                        "scores for a state family")
     _add_common(p)
     _add_family(p)
-    p.add_argument("--settings", choices=("table1", "optimize", "file"),
-                   default=None,
+    p.add_argument("--settings", choices=SETTINGS_MODES, default=None,
                    help="optimize the extreme angles (default; table1 is "
                         "an alias of optimize) or replay a settings file")
     p.add_argument("--settings-file", default=None,
@@ -123,11 +123,7 @@ def _merge_config(args):
     """File config as base, command-line flags override, defaults last."""
     cfg = {}
     if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError("cannot read config file: %s" % exc)
+        cfg = _read_file(args.config, "config file", json.loads)
         if not isinstance(cfg, dict):
             raise ConfigError("config file must contain an object")
     names = set(vars(args)) - {"config", "command"}
@@ -143,10 +139,42 @@ def _merge_config(args):
     return merged
 
 
+def _read_file(path, what, parse):
+    """parse(text) of a file; a file that cannot be read or is not JSON is
+    a configuration error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError("cannot read %s: %s" % (what, exc))
+
+
 def _integer(opts, key, default):
     value = opts.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError("%s must be an integer, not %r" % (key, value))
+    return value
+
+
+def _string(opts, key):
+    value = opts.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError("%s must be a string, not %r" % (key, value))
+    return value
+
+
+def _boolean(opts, key, default):
+    value = opts.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError("%s must be true or false, not %r" % (key, value))
+    return value
+
+
+def _choice(opts, key, choices, default):
+    value = opts.get(key, default)
+    if value not in choices:
+        raise ConfigError("%s must be one of %s, not %r"
+                          % (key, ", ".join(choices), value))
     return value
 
 
@@ -176,11 +204,11 @@ def _given_params(opts, family):
 
 
 def _family_point(opts):
+    """(family, params, state); raises ValueError on an invalid point,
+    which main reports as such."""
     family = _family_name(opts)
     params = _given_params(opts, family)
-    # raises ValueError on an invalid point, which main reports as such
-    families.family_state(family, params)
-    return family, params
+    return family, params, families.family_state(family, params)
 
 
 def _resolved_config(opts, cfg, extra=None):
@@ -246,19 +274,18 @@ def _scores(table):
 
 
 def cmd_violation(opts):
-    family, params = _family_point(opts)
+    family, params, state = _family_point(opts)
     cfg = _optimizer_config(opts)
-    settings_mode = opts.get("settings", "optimize") or "optimize"
+    settings_mode = _choice(opts, "settings", SETTINGS_MODES, "optimize")
     result = {}
     if settings_mode == "file":
-        path = opts.get("settings_file")
+        path = _string(opts, "settings_file")
         if not path:
             raise ConfigError("--settings-file is required with "
                               "--settings file")
-        with open(path, "r", encoding="utf-8") as fh:
-            bundle = _bundle_from_json(json.load(fh))
-        net = TrilocalNetwork.from_shared_state(
-            families.family_state(family, params))
+        bundle = _bundle_from_json(_read_file(path, "settings file",
+                                              json.loads))
+        net = TrilocalNetwork.from_shared_state(state)
         settings = bundle.nlocal()
         corr = _correlations(net, settings.intermediates)
         angles = [(o.theta, o.phi) for pair in settings.extremes for o in pair]
@@ -357,12 +384,11 @@ def cmd_threshold(opts):
 
 
 def cmd_swap(opts):
-    family, params = _family_point(opts)
+    family, params, state = _family_point(opts)
     cfg = _optimizer_config(opts)
-    state = families.family_state(family, params)
     net = TrilocalNetwork.from_shared_state(state)
     b_pair, c_pair = families.family_groupings(family)
-    allow_unbalanced = bool(opts.get("allow_unbalanced", False))
+    allow_unbalanced = _boolean(opts, "allow_unbalanced", False)
     if opts.get("b_groupings"):
         b_pair = tuple(parse_grouping(s) for s in opts["b_groupings"])
     if opts.get("c_groupings"):
@@ -376,46 +402,40 @@ def cmd_swap(opts):
                             c=tuple(c_pair), d=(probe, probe),
                             t=(probe, probe))
     functional = None
-    if opts.get("functional"):
-        functional = load_bell_functional(opts["functional"])
+    path = _string(opts, "functional")
+    if path:
+        functional = _read_file(path, "functional file",
+                                parse_bell_functional)
         sx = BlochObservable(np.pi / 2, 0.0).matrix()
         sy = BlochObservable(np.pi / 2, np.pi / 2).matrix()
     rows = []
     any_entangled = False
-    for y in (0, 1):
-        for z in (0, 1):
-            reduced = swap_table(net, bundle, y, z)
-            for b_out in (0, 1):
-                for c_out in (0, 1):
-                    try:
-                        chi, prob = swapped_state_from_table(reduced, b_out,
-                                                             c_out)
-                    except ValueError:
-                        rows.append({"y": y, "b": b_out, "z": z, "c": c_out,
-                                     "probability": 0.0, "null_event": True})
-                        continue
-                    negs = [negativity(chi, 3, cut) for cut in range(3)]
-                    sep = separability_check(chi)
-                    row = {
-                        "y": y, "b": b_out, "z": z, "c": c_out,
-                        "probability": prob,
-                        "negativity": negs,
-                        "criterion1": {"lhs": sep.criterion1_lhs,
-                                       "rhs": sep.criterion1_rhs,
-                                       "satisfied": sep.criterion1_satisfied},
-                        "criterion2": {"lhs": sep.criterion2_lhs,
-                                       "rhs": sep.criterion2_rhs,
-                                       "satisfied": sep.criterion2_satisfied},
-                        "entangled_by_criteria": sep.entangled,
-                    }
-                    if functional is not None:
-                        value, violated = bell_evaluate(
-                            tripartite_behavior(chi, [(sx, sy)] * 3),
-                            functional)
-                        row["functional_value"] = value
-                        row["functional_violated"] = violated
-                    any_entangled = any_entangled or sep.entangled
-                    rows.append(row)
+    for y, z, b_out, c_out in itertools.product((0, 1), repeat=4):
+        row = {"y": y, "b": b_out, "z": z, "c": c_out}
+        try:
+            chi, prob = swapped_state(net, bundle, y, b_out, z, c_out)
+        except ValueError:
+            rows.append(dict(row, probability=0.0, null_event=True))
+            continue
+        sep = separability_check(chi)
+        row.update({
+            "probability": prob,
+            "negativity": [negativity(chi, 3, cut) for cut in range(3)],
+            "criterion1": {"lhs": sep.criterion1_lhs,
+                           "rhs": sep.criterion1_rhs,
+                           "satisfied": sep.criterion1_satisfied},
+            "criterion2": {"lhs": sep.criterion2_lhs,
+                           "rhs": sep.criterion2_rhs,
+                           "satisfied": sep.criterion2_satisfied},
+            "entangled_by_criteria": sep.entangled,
+        })
+        if functional is not None:
+            value, violated = bell_evaluate(
+                tripartite_behavior(chi, [(sx, sy)] * 3), functional)
+            row["functional_value"] = value
+            row["functional_violated"] = violated
+        any_entangled = any_entangled or sep.entangled
+        rows.append(row)
     config = _resolved_config(opts, cfg, {
         "b_groupings": _grouping_strings(b_pair),
         "c_groupings": _grouping_strings(c_pair)})
@@ -424,7 +444,7 @@ def cmd_swap(opts):
 
 def cmd_lhv_check(opts):
     cfg = _optimizer_config(opts)
-    spec = opts.get("r_grid", "0:1:21") or "0:1:21"
+    spec = _string(opts, "r_grid") or "0:1:21"
     try:
         start, stop, steps = spec.split(":")
         grid = np.linspace(float(start), float(stop), int(steps))
@@ -503,17 +523,18 @@ def _to_csv(report):
     return buf.getvalue()
 
 
-def _emit(report, opts):
-    fmt = opts.get("format", "json") or "json"
+def _emit(report, fmt, path):
     if fmt == "csv":
         text = _to_csv(report)
     else:
         text = json.dumps(report, indent=2, sort_keys=True,
                           default=_json_default) + "\n"
-    path = opts.get("output")
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError("cannot write report: %s" % exc)
     else:
         sys.stdout.write(text)
 
@@ -534,7 +555,9 @@ def main(argv=None):
     try:
         opts = _merge_config(args)
         opts["command"] = args.command
-        report = _COMMANDS[args.command](opts)
+        fmt = _choice(opts, "format", FORMATS, "json")
+        path = _string(opts, "output")
+        _emit(_COMMANDS[args.command](opts), fmt, path)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -544,7 +567,6 @@ def main(argv=None):
     except NoBracketError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
-    _emit(report, opts)
     return 0
 
 

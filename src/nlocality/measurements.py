@@ -6,6 +6,7 @@ label is a bit tuple (m, f1, ..., f_{n-1}): m is the sign bit and the f's
 are the flip pattern of the basis vector.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -132,13 +133,23 @@ def parse_grouping(text):
 
 
 def partial_ghz_observable(g):
-    """O = sum_plus P - sum_minus P over GHZ basis projectors; O^2 = I."""
+    """O = sum_plus P - sum_minus P over GHZ basis projectors; O^2 = I.
+
+    Equal groupings share one read-only array.
+    """
+    return _partial_ghz_observable(g)
+
+
+# room for all 254 three-qubit groupings
+@functools.lru_cache(maxsize=256)
+def _partial_ghz_observable(g):
     n = g.n
     obs = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for lbl in all_labels(n):
         v = ghz_basis_vector_n(lbl[0], lbl[1:])
         sign = 1.0 if lbl in g.plus_set else -1.0
         obs += sign * np.outer(v, v.conj())
+    obs.flags.writeable = False
     return obs
 
 

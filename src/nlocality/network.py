@@ -12,7 +12,9 @@ a sum over term tuples of outer products of per-source Pauli coefficients
 (Tavakoli et al., PRA 90, 062109 (2014)).  At n = 4 a table takes
 milliseconds.  The optimizer reads its X, Y, Z coordinates, behaviors
 contract each extreme with I, A_0 or A_1 in Pauli coordinates, and the
-transfers and swapped states convert it to operators on the extremes.
+transfers convert it to operators on the extremes.  A swapped state is the
+table of one operator choice per intermediate, its outcome projector
+(I +- O)/2, read as an operator on the extremes.
 
 The trilocal scenario is the n = 3 case.  Its three sources of three
 qubits feed five parties in the order A (1 qubit), B (3), C (3), D (1),
@@ -47,7 +49,8 @@ ZERO_IVALUE_TOL = 1e-14
 # scores this close to the best are ties when the arg-max tuples are chosen
 ARGMAX_TIE_TOL = 1e-12
 # an operator diagonal in the GHZ basis is a signed sum of stabilizer-state
-# projectors, so its Pauli coefficients are multiples of 2^-n: this cut
+# projectors, so the Pauli coefficients of an observable are multiples of
+# 2^-n and those of an outcome projector (I +- O)/2 of 2^-(n+1): this cut
 # drops rounding residue only
 PAULI_TERM_TOL = 1e-12
 
@@ -454,36 +457,21 @@ def behavior(net, settings):
                     TRILOCAL_INTERMEDIATES)
 
 
-def swap_table(net, settings, y, z):
-    """Reduced operators of (I or O_y) on B times (I or O_z) on C, indexed
-    [identity/observable on B, identity/observable on C]; every outcome
-    pair (b, c) of the settings (y, z) conditions on this one table."""
-    ob = partial_ghz_observable(settings.b[y])
-    oc = partial_ghz_observable(settings.c[z])
-    return _operators(_pauli_table(net, [[None, ob], [None, oc]]), 3)
-
-
-def swapped_state_from_table(r, b_out, c_out):
-    """Conditional state of (A, D, T) and its probability for outcomes
-    (b_out, c_out), given the swap_table r of their settings."""
-    # the projectors (I +- O)/2 act on B and C only, so the unnormalized
-    # state is the signed sum of the four (I or O_y) x (I or O_z) entries,
-    # transposed since R[a, b] pairs with observable entry [a, b]
-    sb, sc = (-1.0) ** b_out, (-1.0) ** c_out
-    sub = (r[0, 0] + sb * r[1, 0] + sc * r[0, 1] + sb * sc * r[1, 1]).T / 4
-    prob = float(np.real(np.trace(sub)))
-    if prob < NULL_EVENT_TOL:
-        raise ValueError("conditioning on a null event (probability %g)" % prob)
-    return sub / prob, prob
-
-
 def swapped_state(net, settings, y, b_out, z, c_out):
     """Conditional state of (A, D, T) given intermediate settings/outcomes.
 
     Returns (chi, probability); raises on conditioning on a null event.
     """
-    return swapped_state_from_table(swap_table(net, settings, y, z), b_out,
-                                    c_out)
+    # the outcome projectors (I +- O)/2 are the only operators on B and C;
+    # the table's one entry R is the unnormalized state, transposed since
+    # R[a, b] pairs with observable entry [a, b]
+    pb, pc = ((np.eye(8) + (-1.0) ** out * partial_ghz_observable(g)) / 2
+              for g, out in ((settings.b[y], b_out), (settings.c[z], c_out)))
+    sub = _operators(_pauli_table(net, [[pb], [pc]]), 3)[0, 0].T
+    prob = float(np.real(np.trace(sub)))
+    if prob < NULL_EVENT_TOL:
+        raise ValueError("conditioning on a null event (probability %g)" % prob)
+    return sub / prob, prob
 
 
 # ---------------------------------------------------------------------------

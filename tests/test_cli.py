@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import itertools
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from nlocality import families, optimize
 from nlocality.analysis import (bell_evaluate, mermin_functional,
                                 tripartite_behavior)
 from nlocality.cli import _bundle_from_json, main
-from nlocality.measurements import BlochObservable
+from nlocality.measurements import BlochObservable, parse_grouping
 from nlocality.network import (SettingsBundle, TrilocalNetwork,
                                _dense_behavior, ivalue_table, local_score,
                                swapped_state, trilocal_score)
@@ -229,6 +230,36 @@ def test_swap_singleton_grouping_detects_entanglement(tmp_path):
     assert rc2 == 2
 
 
+def test_swap_null_event_rows(tmp_path):
+    b_pair = ["000,100", "000,001,010,100"]
+    rc, out = run_cli(tmp_path, ["swap", "--family", "gghz", "--alpha", "0",
+                                 "--b-groupings", *b_pair,
+                                 "--c-groupings", *b_pair,
+                                 "--allow-unbalanced"])
+    assert rc == 0
+    rows = json.loads(out.read_text())["results"]
+    assert [(r["y"], r["z"], r["b"], r["c"]) for r in rows] == list(
+        itertools.product((0, 1), repeat=4))
+    nulls = [r for r in rows if r.get("null_event")]
+    events = [r for r in rows if not r.get("null_event")]
+    assert len(nulls) == 12 and len(events) == 4
+    assert all(r["probability"] == 0.0 for r in nulls)
+    net = TrilocalNetwork.from_shared_state(
+        families.family_state("gghz", {"alpha": 0.0}))
+    pair = tuple(parse_grouping(s) for s in b_pair)
+    probe = (BlochObservable(0.0, 0.0),) * 2
+    bundle = SettingsBundle(probe, pair, pair, probe, probe)
+    for row in nulls:
+        with pytest.raises(ValueError, match="null event"):
+            swapped_state(net, bundle, row["y"], row["b"], row["z"],
+                          row["c"])
+    for row in events:
+        _, prob = swapped_state(net, bundle, row["y"], row["b"], row["z"],
+                                row["c"])
+        assert row["probability"] == prob
+        assert abs(prob - 1.0) < 1e-12
+
+
 def test_nlocal_command(tmp_path):
     rc, out = run_cli(tmp_path, ["nlocal", "--n", "2", "--restarts", "6",
                                  "--seed", "0"])
@@ -294,6 +325,67 @@ def test_threshold_config_family_errors_exit_2(tmp_path, capsys, family,
     capsys.readouterr()
     assert main(["threshold", "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
+
+
+# an integer file field would be opened as a file descriptor; this one
+# cannot be open
+NOT_A_PATH = 1 << 30
+
+
+@pytest.mark.parametrize("args, fields, message", [
+    (["violation", "--family", "gghz", "--alpha", "0.5", "--settings",
+      "file", "--settings-file", "{tmp}/missing.json"], {},
+     "cannot read settings file"),
+    (["swap", "--family", "gghz", "--alpha", "0.6", "--functional",
+      "{tmp}/missing.json"], {}, "cannot read functional file"),
+    (["lhv-check", "--r-grid", "0:1:2", "--output",
+      "{tmp}/missing/out.json"], {}, "cannot write report"),
+    (["lhv-check"], {"r_grid": 5}, "r_grid must be a string"),
+    (["violation", "--family", "gghz", "--alpha", "0.5", "--settings",
+      "file"], {"settings_file": NOT_A_PATH},
+     "settings_file must be a string"),
+    (["swap", "--family", "gghz", "--alpha", "0.6"],
+     {"functional": NOT_A_PATH}, "functional must be a string"),
+    (["lhv-check", "--r-grid", "0:1:2"], {"output": NOT_A_PATH},
+     "output must be a string"),
+], ids=["missing-settings-file", "missing-functional", "missing-output-dir",
+        "number-r-grid", "number-settings-file", "number-functional",
+        "number-output"])
+def test_file_inputs_exit_2(tmp_path, capsys, args, fields, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, fields, message", [
+    (["violation"], {"family": "gghz", "alpha": 0.5, "settings": "tabel1"},
+     "settings must be one of table1, optimize, file, not 'tabel1'"),
+    (["lhv-check", "--r-grid", "0:1:2"], {"format": "CSV"},
+     "format must be one of json, csv, not 'CSV'"),
+    (["swap", "--family", "gghz", "--alpha", "0.7",
+      "--b-groupings", "000", "000,001,010,100"],
+     {"allow_unbalanced": "no"}, "allow_unbalanced must be true or false"),
+], ids=["settings", "format", "allow-unbalanced"])
+def test_config_values_get_their_flags_checks(tmp_path, capsys, args,
+                                               fields, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    capsys.readouterr()
+    assert main(args + ["--config", str(cfg),
+                        "--output", str(tmp_path / "out.json")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_allow_unbalanced_true(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"allow_unbalanced": True}))
+    rc, _ = run_cli(tmp_path, ["swap", "--family", "gghz", "--alpha", "0.7",
+                               "--b-groupings", "000", "000,001,010,100",
+                               "--config", str(cfg)])
+    assert rc == 0
 
 
 def test_threshold_without_crossing_exits_3(monkeypatch, capsys):

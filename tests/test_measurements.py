@@ -65,6 +65,23 @@ def test_partial_ghz_observable_is_involution():
         assert np.allclose(np.abs(eigs), 1.0)
 
 
+def test_partial_ghz_observable_is_built_once_per_grouping():
+    g1 = parse_grouping("000,001,010,100")
+    g2 = parse_grouping("000,001,010,100|011,101,110,111")
+    assert g1 == g2 and g1 is not g2
+    obs = partial_ghz_observable(g1)
+    assert partial_ghz_observable(g2) is obs
+    assert not obs.flags.writeable
+    with pytest.raises(ValueError):
+        obs[0, 0] = 0.0
+    expected = np.zeros((8, 8), dtype=complex)
+    for lbl in itertools.product((0, 1), repeat=3):
+        v = ghz_basis_vector_n(lbl[0], lbl[1:])
+        sign = 1.0 if lbl in g1.plus_set else -1.0
+        expected += sign * np.outer(v, v.conj())
+    assert np.array_equal(obs, expected)
+
+
 def test_table1_groupings():
     b1, b2, c1, c2 = table1_settings()
     assert b1.plus_set == frozenset({(0, 0, 0), (0, 0, 1), (0, 1, 0),
