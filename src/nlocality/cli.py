@@ -88,7 +88,7 @@ def build_parser():
                    metavar="NAME=START:STOP:STEPS",
                    help="grid over one parameter; repeat for a product grid")
 
-    p = sub.add_parser("threshold", help="bisect a noise threshold")
+    p = sub.add_parser("threshold", help="locate a noise threshold")
     _add_common(p)
     _add_family(p)
     p.add_argument("--mode", choices=("joint", "single"), default=None)
@@ -156,6 +156,13 @@ def _integer(opts, key, default):
     return value
 
 
+def _number(opts, key, default):
+    value = opts.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError("%s must be a number, not %r" % (key, value))
+    return float(value)
+
+
 def _string(opts, key):
     value = opts.get(key)
     if value is not None and not isinstance(value, str):
@@ -182,7 +189,7 @@ def _optimizer_config(opts):
     return OptimizerConfig(
         restarts=_integer(opts, "restarts", 50),
         max_iterations=_integer(opts, "max_iterations", 2000),
-        tolerance=float(opts.get("tolerance", 1e-9)),
+        tolerance=_number(opts, "tolerance", 1e-9),
         seed=_integer(opts, "seed", 0),
         workers=_integer(opts, "workers", 1))
 
@@ -198,7 +205,7 @@ def _family_name(opts):
 
 def _given_params(opts, family):
     """The parameters of family that opts sets, as floats."""
-    return {name: float(opts[name])
+    return {name: _number(opts, name, None)
             for name in families.FAMILY_PARAMS.get(family, ())
             if opts.get(name) is not None}
 
@@ -383,16 +390,27 @@ def cmd_threshold(opts):
     return _report(config, [result], {})
 
 
+def _grouping_pair(opts, key, default):
+    """The groupings of the two literals in opts[key], or default if unset;
+    a config file can hold any JSON value there."""
+    value = opts.get(key)
+    if value is None:
+        return default
+    if (not isinstance(value, list) or len(value) != 2
+            or not all(isinstance(s, str) for s in value)):
+        raise ConfigError("%s must be a list of two grouping strings, not %r"
+                          % (key, value))
+    return tuple(parse_grouping(s) for s in value)
+
+
 def cmd_swap(opts):
     family, params, state = _family_point(opts)
     cfg = _optimizer_config(opts)
     net = TrilocalNetwork.from_shared_state(state)
     b_pair, c_pair = families.family_groupings(family)
     allow_unbalanced = _boolean(opts, "allow_unbalanced", False)
-    if opts.get("b_groupings"):
-        b_pair = tuple(parse_grouping(s) for s in opts["b_groupings"])
-    if opts.get("c_groupings"):
-        c_pair = tuple(parse_grouping(s) for s in opts["c_groupings"])
+    b_pair = _grouping_pair(opts, "b_groupings", b_pair)
+    c_pair = _grouping_pair(opts, "c_groupings", c_pair)
     for g in tuple(b_pair) + tuple(c_pair):
         if not g.is_balanced() and not allow_unbalanced:
             raise ConfigError("unbalanced grouping %r requires "
@@ -468,7 +486,7 @@ def cmd_nlocal(opts):
     n = _integer(opts, "n", 3)
     epsilon = opts.get("epsilon")
     if epsilon is not None:
-        epsilon = float(epsilon)
+        epsilon = _number(opts, "epsilon", None)
 
     def source():
         g = ghz_n_state(n)

@@ -384,15 +384,21 @@ _THRESHOLD_FAMILIES = {
 
 
 def visibility_threshold(family, cfg=None, mode="joint"):
-    """Bisection of [0, 1] for the noise parameter where the optimized
-    score crosses 1.
+    """ITP search of [0, 1] for the noise parameter where the optimized
+    score crosses 1 (interpolate, truncate, project: Oliveira and
+    Takahashi, ACM TOMS 47(1), 2020).
 
     Noise acts on all three sources ("joint") or on the first only
     ("single").  Both ends are scored first and must straddle 1, else
-    NoBracketError; each midpoint is warm-started from the optimal angles
-    at the bracket end whose score is above 1, and all points draw their
-    random starts from one stream seeded with cfg.seed.  Returns a
-    ThresholdResult with bracket width at most 1e-4.
+    NoBracketError.  Each new point is the regula-falsi root of the
+    bracket ends' scores minus 1, moved toward the midpoint by
+    0.2 * width^2 and then projected into a window around the midpoint
+    that shrinks as bisection's would, so the search never takes more
+    points than bisection (2 ends and 14 inner points) and, on a smooth
+    score, about half as many.  Each point is warm-started from the
+    optimal angles at the bracket end whose score is above 1, and all
+    points draw their random starts from one stream seeded with cfg.seed.
+    Returns a ThresholdResult with bracket width at most 1e-4.
     """
     cfg = cfg or OptimizerConfig()
     if family not in _THRESHOLD_FAMILIES:
@@ -415,14 +421,32 @@ def visibility_threshold(family, cfg=None, mode="joint"):
     if ((r_lo.score - 1.0) * (r_hi.score - 1.0) > 0
             or r_lo.score == r_hi.score):
         raise NoBracketError("no score crossing of 1 found for %s" % family)
+    # eps sits just below half the final width: at exactly 5e-5, rounding
+    # can leave the width a hair above 1e-4 and cost one more point
+    eps = 0.999 * 1e-4 / 2
+    n_max = math.ceil(math.log2((hi - lo) / (2 * eps)))
+    j = 0
     while hi - lo > 1e-4:
-        mid = (lo + hi) / 2
+        width, mid = hi - lo, (lo + hi) / 2
+        f_lo, f_hi = r_lo.score - 1.0, r_hi.score - 1.0
+        # interpolate; equal end scores straddle 1 only if both are 1
+        x = (hi * f_lo - lo * f_hi) / (f_lo - f_hi) if f_lo != f_hi else mid
+        # truncate toward the midpoint
+        toward_mid = math.copysign(1.0, mid - x)
+        delta = 0.2 * width ** 2
+        x = x + toward_mid * delta if delta <= abs(mid - x) else mid
+        # project into the window about the midpoint that keeps the next
+        # width at most 2 eps 2^(n_max - j - 1), a bound bisection meets
+        radius = eps * 2.0 ** (n_max - j) - width / 2
+        if abs(x - mid) > radius:
+            x = mid - toward_mid * radius
         violating = max(r_lo, r_hi, key=lambda r: r.score)
-        r_mid = optimum(mid, (violating.angles,))
-        if (r_lo.score - 1.0) * (r_mid.score - 1.0) <= 0:
-            hi, r_hi = mid, r_mid
+        r_x = optimum(x, (violating.angles,))
+        if (r_lo.score - 1.0) * (r_x.score - 1.0) <= 0:
+            hi, r_hi = x, r_x
         else:
-            lo, r_lo = mid, r_mid
+            lo, r_lo = x, r_x
+        j += 1
     below, above = sorted((r_lo.score, r_hi.score))
     return ThresholdResult(parameter, (lo + hi) / 2, hi - lo,
                            float(below), float(above))

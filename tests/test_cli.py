@@ -368,7 +368,26 @@ def test_file_inputs_exit_2(tmp_path, capsys, args, fields, message):
     (["swap", "--family", "gghz", "--alpha", "0.7",
       "--b-groupings", "000", "000,001,010,100"],
      {"allow_unbalanced": "no"}, "allow_unbalanced must be true or false"),
-], ids=["settings", "format", "allow-unbalanced"])
+    (["violation", "--family", "gghz", "--alpha", "0.5"],
+     {"tolerance": True}, "tolerance must be a number, not True"),
+    (["violation"], {"family": "gghz", "alpha": True},
+     "alpha must be a number, not True"),
+    (["swap"], {"family": "gghz", "alpha": [0.5]},
+     "alpha must be a number, not [0.5]"),
+    (["nlocal", "--n", "2"], {"epsilon": "0.9"},
+     "epsilon must be a number, not '0.9'"),
+    (["swap", "--family", "gghz", "--alpha", "0.5"],
+     {"b_groupings": ["000,001,010,100", 5]},
+     "b_groupings must be a list of two grouping strings"),
+    (["swap", "--family", "gghz", "--alpha", "0.5"],
+     {"c_groupings": "000,001,010,100"},
+     "c_groupings must be a list of two grouping strings"),
+    (["swap", "--family", "gghz", "--alpha", "0.5"],
+     {"b_groupings": []}, "b_groupings must be a list of two grouping "
+                          "strings"),
+], ids=["settings", "format", "allow-unbalanced", "bool-tolerance",
+        "bool-param", "list-param", "string-epsilon", "number-in-groupings",
+        "string-groupings", "empty-groupings"])
 def test_config_values_get_their_flags_checks(tmp_path, capsys, args,
                                                fields, message):
     cfg = tmp_path / "cfg.json"

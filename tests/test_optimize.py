@@ -327,19 +327,19 @@ def test_default_nlocal_groupings():
 
 
 class StubOptimizer:
-    """Stands in for optimize._optimize with a monotone score: scale times
-    twice the GHZ corner coherence of the noisy source, i.e. scale * eps
-    for depolarized and scale * (1 - gamma)^(3/2) for damped sources.  At
-    scale 2^(1/3) it crosses 1 at the closed-form thresholds.  Each call
-    records its score, returned angles, warm starts and a draw from the
-    search's start stream."""
+    """Stands in for optimize._optimize with a score that is a function of
+    twice the GHZ corner coherence of the noisy source, i.e. of eps for
+    depolarized and of (1 - gamma)^(3/2) for damped sources.  The default,
+    2^(1/3) times the coherence, crosses 1 at the closed-form thresholds.
+    Each call records its score, returned angles, warm starts and a draw
+    from the search's start stream."""
 
-    def __init__(self, scale=np.cbrt(2.0)):
-        self.scale = scale
+    def __init__(self, score=lambda coherence: np.cbrt(2.0) * coherence):
+        self.score = score
         self.calls = []
 
     def __call__(self, net, groupings, cfg, restricted, rng, extra_starts=()):
-        score = self.scale * 2 * abs(net.source_states[0][0, 7])
+        score = self.score(2 * abs(net.source_states[0][0, 7]))
         angles = np.full(12, float(len(self.calls)))
         self.calls.append({"score": score, "angles": angles,
                            "warm": list(extra_starts),
@@ -353,19 +353,51 @@ THRESHOLD_TARGETS = [("depolarized", 2.0 ** (-1 / 3)),
                      ("phase", 1.0 - 4.0 ** (-1 / 9))]
 
 
+def final_bracket(res):
+    half = res.bracket_width / 2
+    return res.critical_value - half, res.critical_value + half
+
+
 @pytest.mark.parametrize("mode", ["joint", "single"])
 @pytest.mark.parametrize("family, target", THRESHOLD_TARGETS)
 def test_threshold_bisects_unit_interval(monkeypatch, family, target, mode):
     stub = StubOptimizer()
     monkeypatch.setattr(optimize, "_optimize", stub)
     res = visibility_threshold(family, OptimizerConfig(restarts=2), mode)
-    # 2 ends and 14 halvings of [0, 1] down to width 2^-14 <= 1e-4
-    assert len(stub.calls) == 16
-    assert res.bracket_width == 2.0 ** -14
-    lo = res.critical_value - res.bracket_width / 2
-    assert lo * 2 ** 14 == int(lo * 2 ** 14)
-    assert lo < target < lo + res.bracket_width
+    # on a smooth score the interpolation steps take far fewer points
+    # than bisection's 2 ends and 14 halvings
+    assert len(stub.calls) <= 9
+    assert res.bracket_width <= 1e-4
+    lo, hi = final_bracket(res)
+    assert lo < target < hi
     assert res.score_below < 1.0 < res.score_above
+
+
+# a cubic score rounds to exactly 1 within (2^-52 / 4)^(1/3) of its root
+CUBIC_FLAT = (np.finfo(float).eps / 4) ** (1 / 3)
+
+
+@pytest.mark.parametrize("rising", [True, False], ids=["rising", "falling"])
+@pytest.mark.parametrize("shape, slack", [
+    (lambda x: 1.0 if x >= 0 else -1.0, 1e-12),
+    (lambda x: 4.0 * x ** 3, CUBIC_FLAT),
+], ids=["step", "cubic"])
+@pytest.mark.parametrize("root", [1e-3, 0.1, 1 / 3, 0.5, 2.0 ** (-1 / 3),
+                                  0.9999])
+def test_threshold_worst_case_points(monkeypatch, shape, slack, rising,
+                                     root):
+    """Scores on which interpolation gains nothing still take at most
+    bisection's 16 points.  On depolarized sources the stub's coherence is
+    eps itself, up to rounding."""
+    sign = 1.0 if rising else -1.0
+    stub = StubOptimizer(lambda eps: 1.0 + sign * shape(eps - root))
+    monkeypatch.setattr(optimize, "_optimize", stub)
+    res = visibility_threshold("depolarized", OptimizerConfig(restarts=1))
+    assert len(stub.calls) <= 16
+    assert res.bracket_width <= 1e-4
+    lo, hi = final_bracket(res)
+    assert lo - slack <= root <= hi + slack
+    assert res.score_below <= 1.0 <= res.score_above
 
 
 @pytest.mark.parametrize("family, target", THRESHOLD_TARGETS[:2])
@@ -391,11 +423,11 @@ def test_threshold_points_draw_fresh_starts(monkeypatch):
     monkeypatch.setattr(optimize, "_optimize", stub)
     visibility_threshold("depolarized", OptimizerConfig(restarts=3, seed=4))
     draws = {call["draw"].tobytes() for call in stub.calls}
-    assert len(draws) == len(stub.calls) == 16
+    assert len(draws) == len(stub.calls)
 
 
 def test_threshold_without_crossing_raises(monkeypatch):
-    stub = StubOptimizer(scale=0.5)
+    stub = StubOptimizer(lambda coherence: 0.5 * coherence)
     monkeypatch.setattr(optimize, "_optimize", stub)
     with pytest.raises(NoBracketError):
         visibility_threshold("amplitude", OptimizerConfig(restarts=2))
