@@ -8,6 +8,7 @@ also be emitted as CSV.  Exit codes: 0 success, 2 configuration error,
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -64,6 +65,9 @@ def _add_family(parser):
         parser.add_argument("--" + name, type=float, default=None)
 
 
+# one parser serves every main call in a process: parse_args leaves it
+# unchanged and returns a fresh namespace
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nlocality",

@@ -38,8 +38,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.max_iterations < 1:
             raise ValueError("restarts and max_iterations must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -174,17 +174,22 @@ def _bfgs_update(ab, s, y, sy):
     return out
 
 
-def _multistart(objective, dim, cfg, rng, extra_starts=()):
+def _multistart(objective, dim, cfg, rng, extra_starts=(), stop_above=None):
     """Best maximum of objective over one minimize run on its negation
-    from each of cfg.restarts starts drawn from rng (theta in [0, pi), phi
-    in [0, 2 pi)) and then each of the extra starts.
+    from each of the extra starts and then each of cfg.restarts starts
+    drawn from rng (theta in [0, pi), phi in [0, 2 pi)).
+
+    With stop_above set, returns right after the first restart that lifts
+    the best value strictly above it: such a value already settles which
+    side of stop_above the full maximum lies on.  All cfg.restarts random
+    starts are drawn either way, so rng advances the same.
 
     objective returns (score, gradient); evals counts its calls, the total
     of the restarts' nfev.
     """
     starts = rng.uniform(0.0, np.pi, (cfg.restarts, dim))
     starts[:, 1::2] *= 2.0
-    starts = list(starts) + [np.asarray(s, dtype=float) for s in extra_starts]
+    starts = [np.asarray(s, dtype=float) for s in extra_starts] + list(starts)
     evals = 0
 
     def wrapped(x):
@@ -198,6 +203,8 @@ def _multistart(objective, dim, cfg, rng, extra_starts=()):
         res = minimize(wrapped, x0, cfg.max_iterations, cfg.tolerance)
         if best_x is None or -res.fun > best_val + 1e-15:
             best_val, best_x = -res.fun, res.x
+        if stop_above is not None and best_val > stop_above:
+            break
     return best_val, best_x, evals
 
 
@@ -341,13 +348,15 @@ def _problem(net, groupings, restricted):
     return corr, mask, root, _objective(net.n, corr, mask, root, restricted)
 
 
-def _optimize(net, groupings, cfg, restricted, rng, extra_starts=()):
+def _optimize(net, groupings, cfg, restricted, rng, extra_starts=(),
+              stop_above=None):
     """Multistart maximization; the result's settings are left to the
     caller, which knows the scenario's settings type.  rng is the start
-    stream of the calling search, created once from cfg.seed."""
+    stream of the calling search, created once from cfg.seed; extra_starts
+    and stop_above are passed to _multistart."""
     corr, mask, root, objective = _problem(net, groupings, restricted)
     best, x, evals = _multistart(objective, 4 * net.n, cfg, rng,
-                                 extra_starts)
+                                 extra_starts, stop_above)
     ivals = _ivalues(corr, x)[0].reshape((2,) * net.n)
     _, t0, t1 = _restricted_score(ivals, mask, root, share_tail=restricted)
     return OptimizationResult(best, None, t0, t1, ivals, x, evals)
@@ -395,10 +404,17 @@ def visibility_threshold(family, cfg=None, mode="joint"):
     0.2 * width^2 and then projected into a window around the midpoint
     that shrinks as bisection's would, so the search never takes more
     points than bisection (2 ends and 14 inner points) and, on a smooth
-    score, about half as many.  Each point is warm-started from the
-    optimal angles at the bracket end whose score is above 1, and all
-    points draw their random starts from one stream seeded with cfg.seed.
-    Returns a ThresholdResult with bracket width at most 1e-4.
+    score, about half as many (7-8 on the depolarized and damped sources).
+
+    Each inner point first restarts from the angles at the bracket end
+    whose score is above 1, then from random starts; all points draw
+    cfg.restarts random starts from one stream seeded with cfg.seed.  Only
+    the side of 1 matters, so every point, ends included, stops at its
+    first restart scoring above 1; a point at or below 1 runs every
+    restart.  Returns a ThresholdResult with bracket width at most 1e-4:
+    score_below is the best score at the bracket's end at or below 1,
+    score_above the first score above 1 found at its other end, which
+    certifies the violation but need not be the best score there.
     """
     cfg = cfg or OptimizerConfig()
     if family not in _THRESHOLD_FAMILIES:
@@ -414,7 +430,8 @@ def visibility_threshold(family, cfg=None, mode="joint"):
         noisy = families.family_state(family, {parameter: value})
         other = noisy if mode == "joint" else clean
         net = TrilocalNetwork.from_role_states(noisy, other, other)
-        return _optimize(net, groupings, cfg, True, rng, warm)
+        return _optimize(net, groupings, cfg, True, rng, warm,
+                         stop_above=1.0)
 
     lo, hi = 0.0, 1.0
     r_lo, r_hi = optimum(lo), optimum(hi)

@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import kron
-
 TRACE_TOL = 1e-12
 
 
@@ -117,15 +115,21 @@ def phase_damping_kraus(gamma):
 def apply_channel_per_qubit(rho, kraus, num_qubits):
     """Apply the same single-qubit channel independently on every wire.
 
-    Wires are processed in ascending order; single-qubit channels on
-    distinct wires commute, so the order only fixes rounding behavior.
+    Each Kraus operator K acts on its wire's row digit and, conjugated, on
+    its column digit of the reshaped state, which is K rho K^dagger with K
+    on that wire and the identity elsewhere, without forming that
+    2^n x 2^n operator.  Wires are processed in ascending order; channels
+    on distinct wires commute, so the order only fixes rounding behavior.
     """
+    dim = 2 ** num_qubits
     out = np.asarray(rho, dtype=complex)
     for wire in range(num_qubits):
+        # a row or column index as (wires before, this wire, wires after)
+        split = (2 ** wire, 2, -1)
         acc = np.zeros_like(out)
         for k in kraus.operators:
-            full = kron(*[k if w == wire else np.eye(2) for w in range(num_qubits)])
-            acc += full @ out @ full.conj().T
+            left = (k @ out.reshape(split)).reshape(dim, dim)
+            acc += (k.conj() @ left.reshape((dim,) + split)).reshape(dim, dim)
         out = acc
     return out
 

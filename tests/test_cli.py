@@ -9,7 +9,7 @@ import pytest
 from nlocality import families, optimize
 from nlocality.analysis import (bell_evaluate, mermin_functional,
                                 tripartite_behavior)
-from nlocality.cli import _bundle_from_json, main
+from nlocality.cli import _bundle_from_json, build_parser, main
 from nlocality.measurements import BlochObservable, parse_grouping
 from nlocality.network import (SettingsBundle, TrilocalNetwork,
                                _dense_behavior, ivalue_table, local_score,
@@ -398,6 +398,48 @@ def test_config_values_get_their_flags_checks(tmp_path, capsys, args,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, fields", [
+    (["--tolerance", "nan"], {}),
+    (["--tolerance", "inf"], {}),
+    ([], {"tolerance": float("nan")}),
+    ([], {"tolerance": float("inf")}),
+], ids=["flag-nan", "flag-inf", "config-nan", "config-infinity"])
+def test_non_finite_tolerance_exits_2(tmp_path, capsys, flags, fields):
+    # json writes these as the NaN and Infinity literals, which it reads
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    capsys.readouterr()
+    assert main(["threshold", "--family", "depolarized",
+                 "--config", str(cfg)] + flags) == 2
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+
+def test_main_calls_share_the_parser_but_no_values(tmp_path):
+    assert build_parser() is build_parser()
+    rc, _ = run_cli(tmp_path, ["swap", "--family", "gghz", "--alpha", "0.7",
+                               "--restarts", "7", "--seed", "5",
+                               "--tolerance", "1e-6", "--workers", "3",
+                               "--b-groupings", "000", "000,001,010,100",
+                               "--allow-unbalanced", "--format", "csv"],
+                    name="first.csv")
+    assert rc == 0
+    rc, out = run_cli(tmp_path, ["lhv-check", "--r-grid", "0:1:2"])
+    assert rc == 0
+    assert json.loads(out.read_text())["config"] == {
+        "command": "lhv-check", "r_grid": "0:1:2", "seed": 0,
+        "restarts": 50, "max_iterations": 2000, "tolerance": 1e-9,
+        "workers": 1}
+    rc, out = run_cli(tmp_path, ["swap", "--family", "gghz",
+                                 "--alpha", "0.7"])
+    assert rc == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["restarts"], config["seed"], config["workers"]) == (50, 0,
+                                                                       1)
+    assert "format" not in config
+    assert config["b_groupings"] == [g.to_string() for g in
+                                     families.family_groupings("gghz")[0]]
+
+
 def test_config_allow_unbalanced_true(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"allow_unbalanced": True}))
@@ -408,7 +450,8 @@ def test_config_allow_unbalanced_true(tmp_path):
 
 
 def test_threshold_without_crossing_exits_3(monkeypatch, capsys):
-    def below_one(net, groupings, cfg, restricted, rng, extra_starts=()):
+    def below_one(net, groupings, cfg, restricted, rng, extra_starts=(),
+                  stop_above=None):
         return OptimizationResult(0.5, None, (0, 0), (0, 0), None,
                                   np.zeros(12), 0)
 

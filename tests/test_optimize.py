@@ -1,5 +1,6 @@
 """Tests for the optimizer layer (fast checks; bounds live in acceptance)."""
 
+import math
 import os
 import subprocess
 import sys
@@ -30,6 +31,9 @@ def test_config_validation():
         OptimizerConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=-1)
+    for tolerance in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            OptimizerConfig(tolerance=tolerance)
 
 
 def test_angles_to_observables():
@@ -135,13 +139,17 @@ def test_evaluations_are_minimize_evaluations(monkeypatch):
         return res
 
     monkeypatch.setattr(optimize, "minimize", counted)
+    # both scores are above 1, so an early stop would show as fewer
+    # restarts: only the threshold search stops early
     res = maximize_trilocal(("gghz", {"alpha": 0.5}),
                             OptimizerConfig(restarts=5, seed=2))
+    assert res.score > 1.0
     assert len(nfev) == 5
     assert res.evaluations == sum(nfev)
     net = NLocalNetwork.from_states(4, [ghz_n_state(4)] * 4)
     nfev.clear()
     res = optimize.maximize_nlocal(net, OptimizerConfig(restarts=3, seed=1))
+    assert res.score > 1.0
     assert len(nfev) == 3
     assert res.evaluations == sum(nfev)
 
@@ -331,18 +339,20 @@ class StubOptimizer:
     twice the GHZ corner coherence of the noisy source, i.e. of eps for
     depolarized and of (1 - gamma)^(3/2) for damped sources.  The default,
     2^(1/3) times the coherence, crosses 1 at the closed-form thresholds.
-    Each call records its score, returned angles, warm starts and a draw
-    from the search's start stream."""
+    Each call records its score, returned angles, warm starts, stop_above
+    and a draw from the search's start stream."""
 
     def __init__(self, score=lambda coherence: np.cbrt(2.0) * coherence):
         self.score = score
         self.calls = []
 
-    def __call__(self, net, groupings, cfg, restricted, rng, extra_starts=()):
+    def __call__(self, net, groupings, cfg, restricted, rng, extra_starts=(),
+                 stop_above=None):
         score = self.score(2 * abs(net.source_states[0][0, 7]))
         angles = np.full(12, float(len(self.calls)))
         self.calls.append({"score": score, "angles": angles,
                            "warm": list(extra_starts),
+                           "stop_above": stop_above,
                            "draw": rng.uniform(size=cfg.restarts)})
         return OptimizationResult(score, None, (0, 0), (0, 0), None, angles,
                                   0)
@@ -367,6 +377,8 @@ def test_threshold_bisects_unit_interval(monkeypatch, family, target, mode):
     # on a smooth score the interpolation steps take far fewer points
     # than bisection's 2 ends and 14 halvings
     assert len(stub.calls) <= 9
+    # only the side of 1 matters at any point, ends included
+    assert all(call["stop_above"] == 1.0 for call in stub.calls)
     assert res.bracket_width <= 1e-4
     lo, hi = final_bracket(res)
     assert lo < target < hi
@@ -416,6 +428,50 @@ def test_threshold_warm_starts_from_violating_end(monkeypatch, family,
         assert np.array_equal(call["warm"][0], violating["angles"])
         if call["score"] > 1.0:
             violating = call
+
+
+def test_threshold_points_stop_at_first_restart_above_one(monkeypatch):
+    """On a real depolarized search, a point scoring above 1 ends on its
+    first restart above 1, and a point at or below 1 runs every restart,
+    warm start included."""
+    cfg = OptimizerConfig(restarts=3, seed=5)
+    real_optimize, real_minimize = optimize._optimize, optimize.minimize
+    points = []
+
+    def point(net, groupings, cfg, restricted, rng, extra_starts=(),
+              stop_above=None):
+        points.append({"starts": cfg.restarts + len(extra_starts),
+                       "values": []})
+        res = real_optimize(net, groupings, cfg, restricted, rng,
+                            extra_starts, stop_above=stop_above)
+        points[-1]["score"] = res.score
+        return res
+
+    def restart(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        points[-1]["values"].append(-res.fun)
+        return res
+
+    monkeypatch.setattr(optimize, "_optimize", point)
+    monkeypatch.setattr(optimize, "minimize", restart)
+    res = visibility_threshold("depolarized", cfg)
+    for p in points:
+        values = p["values"]
+        if p["score"] > 1.0:
+            assert p["score"] == values[-1]
+            assert max(values[:-1], default=0.0) <= 1.0
+        else:
+            assert len(values) == p["starts"]
+            assert p["score"] == max(values)
+    # the stop saved restarts, and score_above is one of its certificates
+    assert any(len(p["values"]) < p["starts"] for p in points)
+    assert any(p["score"] == res.score_above for p in points)
+
+
+def test_threshold_is_deterministic():
+    cfg = OptimizerConfig(restarts=3, seed=7)
+    assert (visibility_threshold("depolarized", cfg)
+            == visibility_threshold("depolarized", cfg))
 
 
 def test_threshold_points_draw_fresh_starts(monkeypatch):

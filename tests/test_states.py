@@ -12,6 +12,7 @@ from nlocality.states import (KrausSet, amplitude_damped_ghz,
                               depolarized_ghz, gghz_state, ghz_n_state,
                               ghz_symmetric_state, phase_damped_ghz,
                               phase_damping_kraus)
+from test_linalg import random_density
 
 
 def test_gghz_amplitudes():
@@ -158,3 +159,28 @@ def test_channel_outputs_are_states(ga, gp):
         out = apply_channel_per_qubit(rho, ks, 3)
         assert abs(np.trace(out) - 1.0) < 1e-10
         assert np.all(hermitian_eigenvalues(out) >= -1e-10)
+
+
+def kron_channel(rho, kraus, num_qubits):
+    """Reference form of apply_channel_per_qubit: each Kraus operator
+    lifted to the full space by Kronecker products."""
+    out = rho
+    for wire in range(num_qubits):
+        acc = np.zeros_like(out)
+        for k in kraus.operators:
+            full = kron(*[k if w == wire else np.eye(2)
+                          for w in range(num_qubits)])
+            acc += full @ out @ full.conj().T
+        out = acc
+    return out
+
+
+@pytest.mark.parametrize("channel", [amplitude_damping_kraus,
+                                     phase_damping_kraus])
+@pytest.mark.parametrize("seed", range(4))
+def test_channel_matches_kronecker_form(channel, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, 8)
+    ks = channel(float(rng.uniform()))
+    out = apply_channel_per_qubit(rho, ks, 3)
+    assert np.abs(out - kron_channel(rho, ks, 3)).max() <= 1e-15
