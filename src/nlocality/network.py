@@ -263,14 +263,33 @@ class NLocalNetwork:
 
     @staticmethod
     def from_states(n, states):
+        """Checks each distinct state object once: a state passed for
+        several sources becomes one density matrix they all share."""
         if n not in SUPPORTED_N:
             raise ValueError("supported network sizes are n in %s"
                              % set(SUPPORTED_N))
         states = tuple(states)
         if len(states) != n:
             raise ValueError("expected %d source states" % n)
-        return NLocalNetwork(n, tuple(_as_density(s, 2 ** n)
-                                      for s in states))
+        return NLocalNetwork(n, _once_per_object(
+            lambda s: _as_density(s, 2 ** n), states))
+
+    @functools.cached_property
+    def _source_coefficients(self):
+        """Per source, its Pauli coefficients with the extreme wire's index
+        moved last (computed once per network and per distinct source)."""
+        return _once_per_object(
+            lambda s: np.moveaxis(_pauli_coefficients(s, self.n), 0, -1),
+            self.source_states)
+
+
+def _once_per_object(fn, items):
+    """(fn(item) for item in items), calling fn once per distinct object."""
+    done = {}
+    for item in items:
+        if id(item) not in done:
+            done[id(item)] = fn(item)
+    return tuple(done[id(item)] for item in items)
 
 
 @dataclass(frozen=True)
@@ -327,8 +346,7 @@ def _pauli_table(net, choices):
     sum over term tuples of prod_j coef_j * outer_i F_i[p_(1,i)..p_(n-1,i)].
     """
     n = net.n
-    sources = [np.moveaxis(_pauli_coefficients(s, n), 0, -1)
-               for s in net.source_states]
+    sources = net._source_coefficients
     terms = [[_pauli_terms(op, n) for op in ops] for ops in choices]
     shape = tuple(len(c) for c in choices)
     out = np.empty(shape + (4 ** (n - 1), 4))

@@ -392,19 +392,42 @@ _THRESHOLD_FAMILIES = {
 }
 
 
+def _power_law_root(logs):
+    """Distance x from the fully noisy end at which the line through the
+    last two (log x, log score) points of logs reaches score 1, or None
+    where that line is flat or crosses 1 beyond x = 1."""
+    if len(logs) < 2:
+        return None
+    (u1, v1), (u2, v2) = logs[-2:]
+    if u1 == u2 or v1 == v2:
+        return None
+    u = u1 - v1 * (u2 - u1) / (v2 - v1)
+    return math.exp(u) if u < 0.0 else None
+
+
 def visibility_threshold(family, cfg=None, mode="joint"):
-    """ITP search of [0, 1] for the noise parameter where the optimized
-    score crosses 1 (interpolate, truncate, project: Oliveira and
+    """ITP-style search of [0, 1] for the noise parameter where the
+    optimized score crosses 1 (estimate, offset, project: Oliveira and
     Takahashi, ACM TOMS 47(1), 2020).
 
     Noise acts on all three sources ("joint") or on the first only
     ("single").  Both ends are scored first and must straddle 1, else
-    NoBracketError.  Each new point is the regula-falsi root of the
-    bracket ends' scores minus 1, moved toward the midpoint by
-    0.2 * width^2 and then projected into a window around the midpoint
-    that shrinks as bisection's would, so the search never takes more
-    points than bisection (2 ends and 14 inner points) and, on a smooth
-    score, about half as many (7-8 on the depolarized and damped sources).
+    NoBracketError.  Each family's optimized score is a constant times a
+    power of the distance x from the fully noisy end (x = eps or 1 - gamma:
+    x^1 depolarized and x^(3/2) damped in joint mode, x^(1/3) and x^(1/2)
+    in single mode), so each new point is first estimated by the secant of
+    log score against log x through the two newest points with a positive
+    score, clean end included; where that secant is undefined or its root
+    falls outside the bracket, by the regula-falsi root of the bracket
+    ends' scores minus 1.  The first inner point moves the estimate
+    0.2 * width^2 toward the midpoint, as ITP truncates; every later point
+    moves it 0.45e-4, just under half the final width, so an accurate
+    estimate puts one point on each side of the root and the bracket
+    closes after them.  The point is then projected into a window around
+    the midpoint that shrinks as bisection's would, so the search never
+    takes more points than bisection (2 ends and 14 inner points); on the
+    depolarized and damped sources it takes 5 or 6, of which 2 inner
+    points score at most 1.
 
     Each inner point first restarts from the angles at the bracket end
     whose score is above 1, then from random starts; all points draw
@@ -442,15 +465,30 @@ def visibility_threshold(family, cfg=None, mode="joint"):
     # can leave the width a hair above 1e-4 and cost one more point
     eps = 0.999 * 1e-4 / 2
     n_max = math.ceil(math.log2((hi - lo) / (2 * eps)))
+    # the parameter is noisy_end + (clean_value - noisy_end) * x
+    noisy_end = 1.0 - clean_value
+    logs = []
+
+    def record(value, r):
+        if value != noisy_end and r.score > 0.0:
+            logs.append((math.log(abs(value - noisy_end)), math.log(r.score)))
+
+    record(lo, r_lo)
+    record(hi, r_hi)
     j = 0
     while hi - lo > 1e-4:
         width, mid = hi - lo, (lo + hi) / 2
-        f_lo, f_hi = r_lo.score - 1.0, r_hi.score - 1.0
-        # interpolate; equal end scores straddle 1 only if both are 1
-        x = (hi * f_lo - lo * f_hi) / (f_lo - f_hi) if f_lo != f_hi else mid
-        # truncate toward the midpoint
+        x = _power_law_root(logs)
+        if x is not None:
+            x = noisy_end + (clean_value - noisy_end) * x
+        if x is None or not lo < x < hi:
+            # regula falsi; equal end scores straddle 1 only if both are 1
+            f_lo, f_hi = r_lo.score - 1.0, r_hi.score - 1.0
+            x = ((hi * f_lo - lo * f_hi) / (f_lo - f_hi) if f_lo != f_hi
+                 else mid)
+        # offset toward the midpoint
         toward_mid = math.copysign(1.0, mid - x)
-        delta = 0.2 * width ** 2
+        delta = 0.2 * width ** 2 if j == 0 else 0.45e-4
         x = x + toward_mid * delta if delta <= abs(mid - x) else mid
         # project into the window about the midpoint that keeps the next
         # width at most 2 eps 2^(n_max - j - 1), a bound bisection meets
@@ -459,6 +497,7 @@ def visibility_threshold(family, cfg=None, mode="joint"):
             x = mid - toward_mid * radius
         violating = max(r_lo, r_hi, key=lambda r: r.score)
         r_x = optimum(x, (violating.angles,))
+        record(x, r_x)
         if (r_lo.score - 1.0) * (r_x.score - 1.0) <= 0:
             hi, r_hi = x, r_x
         else:

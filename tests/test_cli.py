@@ -449,6 +449,15 @@ def test_config_allow_unbalanced_true(tmp_path):
     assert rc == 0
 
 
+def test_threshold_reports_are_byte_identical_for_a_seed(tmp_path):
+    args = ["threshold", "--family", "amplitude", "--mode", "joint",
+            "--restarts", "2", "--seed", "3"]
+    rc, out = run_cli(tmp_path, args)
+    rc2, out2 = run_cli(tmp_path, args, name="out2.json")
+    assert rc == rc2 == 0
+    assert out.read_bytes() == out2.read_bytes()
+
+
 def test_threshold_without_crossing_exits_3(monkeypatch, capsys):
     def below_one(net, groupings, cfg, restricted, rng, extra_starts=(),
                   stop_above=None):

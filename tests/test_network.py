@@ -163,6 +163,53 @@ def test_from_states_rejects_invalid_sources(source):
         NLocalNetwork.from_states(3, [source, MIXED8, MIXED8])
 
 
+def test_from_states_checks_each_distinct_source_once(monkeypatch):
+    real = network._as_density
+    checked = []
+
+    def as_density(state, dim):
+        checked.append(state)
+        return real(state, dim)
+
+    monkeypatch.setattr(network, "_as_density", as_density)
+    rho = depolarized_ghz(0.9)
+    net = NLocalNetwork.from_states(3, [rho, rho, MIXED8])
+    assert len(checked) == 2
+    assert net.source_states[0] is net.source_states[1]
+    # equal but distinct objects are each checked
+    NLocalNetwork.from_states(3, [rho, rho.copy(), rho.copy()])
+    assert len(checked) == 5
+    # a bad state is caught however often it is passed
+    with pytest.raises(ValueError):
+        NLocalNetwork.from_states(3, [np.eye(8) / 7] * 3)
+
+
+def test_source_coefficients_are_computed_once_per_network(monkeypatch):
+    rng = np.random.default_rng(3)
+    rho, other = random_density(rng, 8), random_density(rng, 8)
+    net = NLocalNetwork.from_states(3, [rho, rho, other])
+    fresh = NLocalNetwork.from_states(3, [rho.copy(), rho.copy(), other])
+    b1, b2, c1, c2 = table1_settings()
+    choices = [[None] + [partial_ghz_observable(g) for g in pair]
+               for pair in ((b1, b2), (c1, c2))]
+    expected = network._pauli_table(fresh, choices)
+    real = network._pauli_coefficients
+    sources = []
+
+    def coefficients(op, n):
+        if any(op is s for s in net.source_states):
+            sources.append(op)
+        return real(op, n)
+
+    monkeypatch.setattr(network, "_pauli_coefficients", coefficients)
+    for _ in range(3):
+        assert np.array_equal(network._pauli_table(net, choices), expected)
+    swapped_state(net, SettingsBundle(SX_PAIR, (b1, b2), (c1, c2), SX_PAIR,
+                                      SX_PAIR), 0, 0, 1, 1)
+    # one computation for each of the two distinct source states
+    assert len(sources) == 2
+
+
 def test_nlocal_behavior_normalized():
     net = NLocalNetwork.from_states(2, [ghz_n_state(2)] * 2)
     b1, _, _, b2 = table1_settings()

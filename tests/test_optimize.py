@@ -385,6 +385,46 @@ def test_threshold_bisects_unit_interval(monkeypatch, family, target, mode):
     assert res.score_below < 1.0 < res.score_above
 
 
+@pytest.mark.parametrize("mode", ["joint", "single"])
+@pytest.mark.parametrize("family, target", THRESHOLD_TARGETS)
+def test_threshold_power_law_closes_after_two_expensive_points(
+        monkeypatch, family, target, mode):
+    """The stub's score is a power of the distance from the fully noisy
+    end, so the log-log secant is exact: after the first inner point, one
+    point lands on each side of the root and the bracket closes."""
+    stub = StubOptimizer()
+    monkeypatch.setattr(optimize, "_optimize", stub)
+    res = visibility_threshold(family, OptimizerConfig(restarts=2), mode)
+    assert len(stub.calls) <= 6
+    # points at or below 1 run every restart: few of them
+    assert sum(call["score"] <= 1.0 for call in stub.calls[2:]) <= 2
+    assert res.bracket_width <= 1e-4
+    lo, hi = final_bracket(res)
+    assert lo < target < hi
+
+
+@pytest.mark.parametrize("family, target", THRESHOLD_TARGETS)
+def test_threshold_brackets_with_a_low_clean_end_certificate(
+        monkeypatch, family, target):
+    """A clean end certified at 0.8 of its maximum biases the first
+    estimates; the search still brackets the root within bisection's 16
+    points."""
+    def score(coherence):
+        scale = 0.8 if coherence > 1.0 - 1e-12 else 1.0
+        return scale * np.cbrt(2.0) * coherence
+
+    stub = StubOptimizer(score)
+    monkeypatch.setattr(optimize, "_optimize", stub)
+    res = visibility_threshold(family, OptimizerConfig(restarts=2))
+    clean = stub.calls[1 if family == "depolarized" else 0]
+    assert clean["score"] == pytest.approx(0.8 * np.cbrt(2.0))
+    assert len(stub.calls) <= 16
+    assert res.bracket_width <= 1e-4
+    lo, hi = final_bracket(res)
+    assert lo < target < hi
+    assert res.score_below < 1.0 < res.score_above
+
+
 # a cubic score rounds to exactly 1 within (2^-52 / 4)^(1/3) of its root
 CUBIC_FLAT = (np.finfo(float).eps / 4) ** (1 / 3)
 
