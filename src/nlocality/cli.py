@@ -117,7 +117,9 @@ def build_parser():
 
     p = sub.add_parser("nlocal", help="optimize an n-local network")
     _add_common(p)
-    p.add_argument("--n", type=int, default=None, choices=SUPPORTED_N)
+    p.add_argument("--n", type=int, default=None, choices=SUPPORTED_N,
+                   help="network size: n sources of n qubits, n = %d..%d "
+                        "(default 3)" % (SUPPORTED_N[0], SUPPORTED_N[-1]))
     p.add_argument("--epsilon", type=float, default=None,
                    help="per-source depolarizing visibility (default: pure)")
     return parser

@@ -16,6 +16,12 @@ transfers convert it to operators on the extremes.  A swapped state is the
 table of one operator choice per intermediate, its outcome projector
 (I +- O)/2, read as an operator on the extremes.
 
+Both directions of the Pauli transform (an operator to its coordinates,
+`_pauli_coefficients`, and a table to operators, `_operators`) act on one
+wire at a time with the 4 x 4 matrix `_WIRE` of transposed Paulis, so no
+4^n-string basis is held and n runs up to 8 (SUPPORTED_N).  A behavior
+holds 4^(2n-1) probabilities and is built for n <= MAX_BEHAVIOR_N only.
+
 The trilocal scenario is the n = 3 case.  Its three sources of three
 qubits feed five parties in the order A (1 qubit), B (3), C (3), D (1),
 T (1): (A, D, T) are the extremes A_1..A_3 and (B, C) the intermediates
@@ -43,7 +49,10 @@ WIRING = (0, 1, 4, 7, 2, 5, 8, 3, 6)
 TRILOCAL_ORDER = (0, 3, 4, 1, 2)
 
 # network sizes n the engine accepts
-SUPPORTED_N = (2, 3, 4)
+SUPPORTED_N = tuple(range(2, 9))
+# largest n whose behavior, 4^(2n-1) probabilities (32 MiB at n = 6,
+# 512 MiB at n = 7), is built
+MAX_BEHAVIOR_N = 6
 NULL_EVENT_TOL = 1e-12
 ZERO_IVALUE_TOL = 1e-14
 # scores this close to the best are ties when the arg-max tuples are chosen
@@ -266,8 +275,8 @@ class NLocalNetwork:
         """Checks each distinct state object once: a state passed for
         several sources becomes one density matrix they all share."""
         if n not in SUPPORTED_N:
-            raise ValueError("supported network sizes are n in %s"
-                             % set(SUPPORTED_N))
+            raise ValueError("supported network sizes are n = %d..%d, not %r"
+                             % (SUPPORTED_N[0], SUPPORTED_N[-1], n))
         states = tuple(states)
         if len(states) != n:
             raise ValueError("expected %d source states" % n)
@@ -308,20 +317,28 @@ class NLocalSettings:
                 for pair in self.intermediates]
 
 
-@functools.lru_cache(maxsize=None)
-def _pauli_strings(n):
-    """The transposed Pauli strings s_p1^T x ... x s_pn^T (index 0..3 for
-    I, X, Y, Z), p_1 the most significant, shape (4^n, 2^n, 2^n): the
-    basis of the Pauli transform, since Tr(A s) = sum(A * s^T)."""
-    return np.array([kron(*ps) for ps in
-                     itertools.product(PAULIS.transpose(0, 2, 1), repeat=n)])
+# _WIRE[p, 2a + b] = s_p[b, a]: one wire's Pauli transform, since
+# Tr(A s_p) = sum_ab A[a, b] s_p[b, a]
+_WIRE = PAULIS.transpose(0, 2, 1).reshape(4, 4)
+
+
+def _per_wire(x, m, n):
+    """x with the 4 x 4 matrix m applied to each of its n leading wires (of
+    4 values each): each pass contracts the leading wire and rotates it
+    last, so after n passes the wires are back in order."""
+    for _ in range(n):
+        x = (m @ x.reshape(4, -1)).T
+    return x
 
 
 def _pauli_coefficients(op, n):
     """Tr(op s_p1 x ... x s_pn) of an n-qubit Hermitian operator for every
-    Pauli string p, real, axes (p_1..p_n)."""
-    flat = _pauli_strings(n).reshape(4 ** n, -1) @ np.ravel(op)
-    return flat.real.reshape((4,) * n)
+    Pauli string p, real, axes (p_1..p_n): op's axes are ordered in wire
+    pairs (a_1, b_1, ..., a_n, b_n) and each pair is contracted with _WIRE,
+    one wire at a time."""
+    pairs = op.reshape((2,) * (2 * n)).transpose(
+        sum(zip(range(n), range(n, 2 * n)), ()))
+    return _per_wire(pairs.ravel(), _WIRE, n).real.reshape((4,) * n)
 
 
 def _pauli_terms(op, n):
@@ -367,14 +384,23 @@ def _pauli_table(net, choices):
 def _operators(table, n):
     """The operators R[c] on the extremes of a _pauli_table, such that the
     expectation of O_c times extreme observables E is sum(R[c] * kron(E)):
-    R[c]^T = sum_j T[c, j] s_j1 x ... x s_jn / 2^n."""
-    flat = table.reshape(-1, 4 ** n) @ _pauli_strings(n).reshape(4 ** n, -1)
-    return (flat / 2 ** n).reshape(table.shape[:-n] + (2 ** n, 2 ** n))
+    R[c]^T = sum_j T[c, j] s_j1 x ... x s_jn / 2^n, built one wire at a
+    time with _WIRE^T, whose entry [2a + b, j] is s_j[b, a]."""
+    lead = table.shape[:-n]
+    flat = _per_wire(table.reshape(-1, 4 ** n).T, _WIRE.T, n) / 2 ** n
+    # axes (c, a_1, b_1, ..., a_n, b_n) -> (c, a_1..a_n, b_1..b_n)
+    pairs = flat.reshape((-1,) + (2,) * (2 * n))
+    order = [0] + list(range(1, 2 * n, 2)) + list(range(2, 2 * n + 1, 2))
+    return pairs.transpose(order).reshape(lead + (2 ** n, 2 ** n))
 
 
 def nlocal_behavior(net, settings):
-    """Behavior with parties ordered (A_1..A_n, B_1..B_{n-1})."""
+    """Behavior with parties ordered (A_1..A_n, B_1..B_{n-1}); n is at
+    most MAX_BEHAVIOR_N."""
     n = net.n
+    if n > MAX_BEHAVIOR_N:
+        raise ValueError("a behavior holds 4^(2n-1) probabilities: n = %d "
+                         "exceeds the limit n <= %d" % (n, MAX_BEHAVIOR_N))
     p = 2 * n - 1
     t = _pauli_table(net, [[None] + ops for ops in
                            settings.intermediate_operators()])

@@ -290,7 +290,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["nlocal", "--n", "2", "--epsilon", "1.5"]) == 2
     assert "eigenvalue" in capsys.readouterr().err
     # the supported network sizes bind a config file too
-    cfg.write_text(json.dumps({"n": 5}))
+    cfg.write_text(json.dumps({"n": 9}))
     assert main(["nlocal", "--config", str(cfg)]) == 2
     assert "supported network sizes" in capsys.readouterr().err
 

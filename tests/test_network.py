@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from nlocality import network
 from nlocality.cli import main
 from nlocality.linalg import kron, partial_trace
-from nlocality.measurements import (BlochObservable, GHZGrouping, all_labels,
-                                    parse_grouping, partial_ghz_observable,
-                                    table1_settings)
+from nlocality.measurements import (PAULIS, BlochObservable, GHZGrouping,
+                                    all_labels, parse_grouping,
+                                    partial_ghz_observable, table1_settings)
 from nlocality.network import (Behavior, NLocalNetwork, NLocalSettings,
                                SettingsBundle, TrilocalNetwork,
                                _dense_behavior, _restricted_score, assemble,
@@ -142,7 +142,7 @@ def test_swapped_state_null_event_raises():
 
 def test_nlocal_network_validation():
     with pytest.raises(ValueError):
-        NLocalNetwork.from_states(5, [ghz_n_state(5)] * 5)
+        NLocalNetwork.from_states(9, [ghz_n_state(9)] * 9)
     with pytest.raises(ValueError):
         NLocalNetwork.from_states(3, [ghz_n_state(3)] * 2)
 
@@ -237,6 +237,46 @@ def random_density(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def random_hermitian(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return g + g.conj().T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_coefficients_match_kronecker_basis(n):
+    op = random_hermitian(np.random.default_rng(20 + n), 2 ** n)
+    # Tr(op s_p1 x ... x s_pn) = sum(op * (s_p1 x ... x s_pn)^T), strings in
+    # product order with p_1 the most significant
+    reference = np.array([np.sum(op * kron(*ps).T).real
+                          for ps in itertools.product(PAULIS, repeat=n)])
+    coef = network._pauli_coefficients(op, n)
+    assert coef.shape == (4,) * n
+    assert np.abs(coef.ravel() - reference).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_operators_invert_pauli_coefficients(n):
+    rng = np.random.default_rng(30 + n)
+    ops = [random_hermitian(rng, 2 ** n) for _ in range(2)]
+    table = np.array([network._pauli_coefficients(op, n) for op in ops])
+    # R^T = sum_j Tr(op s_j) s_j / 2^n = op, for each leading entry
+    back = network._operators(table, n)
+    assert back.shape == (2, 2 ** n, 2 ** n)
+    for r, op in zip(back, ops):
+        assert np.abs(r.T - op).max() <= 1e-14
+
+
+def test_nlocal_behavior_is_capped_before_it_allocates(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(network, "_pauli_table", refuse)
+    net = NLocalNetwork.from_states(7, [ghz_n_state(7)] * 7)
+    settings_ = NLocalSettings((SX_PAIR,) * 7, default_nlocal_groupings(7))
+    with pytest.raises(ValueError, match="limit n <= 6"):
+        nlocal_behavior(net, settings_)
 
 
 def dense_swapped_state(net, settings_, y, b_out, z, c_out):

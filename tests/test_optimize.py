@@ -83,7 +83,7 @@ def test_trilocal_objective_matches_reference(family, params, restricted):
                                        restricted)
 
 
-@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("n", [2, 4, 5, 6])
 @pytest.mark.parametrize("source", ["ghz", "mixed"])
 @pytest.mark.parametrize("restricted", [True, False])
 def test_nlocal_objective_matches_reference(n, source, restricted):
