@@ -471,9 +471,12 @@ def cmd_lhv_check(opts):
     spec = _string(opts, "r_grid") or "0:1:21"
     try:
         start, stop, steps = spec.split(":")
-        grid = np.linspace(float(start), float(stop), int(steps))
+        start, stop, steps = float(start), float(stop), int(steps)
     except ValueError:
         raise ConfigError("bad --r-grid %r (want START:STOP:STEPS)" % spec)
+    if steps < 1:
+        raise ConfigError("empty --r-grid %r" % spec)
+    grid = np.linspace(start, stop, steps)
     rows = []
     for r in grid:
         table = product_ivalues(appendix_b_responses(float(r)))

@@ -341,21 +341,44 @@ def _pauli_coefficients(op, n):
     return _per_wire(pairs.ravel(), _WIRE, n).real.reshape((4,) * n)
 
 
-def _pauli_terms(op, n):
-    """Nonzero coefficients Tr(op s_p) / 2^n of an n-qubit operator (None
-    for identity) with their Pauli index rows p, shape (terms, n)."""
-    if op is None:
-        return np.ones(1), np.zeros((1, n), dtype=int)
-    coef = _pauli_coefficients(op, n) / 2 ** n
-    rows = np.argwhere(np.abs(coef) > PAULI_TERM_TOL)
-    return coef[tuple(rows.T)], rows
+def _identity_terms(n):
+    """The one Pauli term of the n-qubit identity: coefficient 1 on I..I."""
+    return np.ones(1), np.zeros((1, n), dtype=int)
+
+
+# room for every three-qubit grouping with both of its outcomes
+@functools.lru_cache(maxsize=768)
+def _grouping_terms(g, outcome=None):
+    """Nonzero coefficients Tr(P s_p) / 2^n with their Pauli index rows p,
+    shape (terms, n), of grouping g's observable O (outcome None) or of
+    its outcome projector P = (I +- O)/2 (outcome 0 or 1, sign (-1)^outcome).
+
+    Only the observable is transformed; with c its coefficients, the
+    projector's are 1/2 (1 +- c_I) on the identity and +-c/2 on every other
+    string.  Equal groupings share read-only arrays.
+    """
+    n = g.n
+    if outcome is None:
+        coef = _pauli_coefficients(partial_ghz_observable(g), n) / 2 ** n
+        rows = np.argwhere(np.abs(coef) > PAULI_TERM_TOL)
+        coef = coef[tuple(rows.T)]
+    else:
+        obs_coef, obs_rows = _grouping_terms(g)
+        half = 0.5 if outcome == 0 else -0.5
+        ident = not obs_rows[0].any()
+        c_id = obs_coef[0] if ident else 0.0
+        coef = np.concatenate(([0.5 + half * c_id], half * obs_coef[ident:]))
+        rows = np.concatenate((np.zeros((1, n), dtype=int), obs_rows[ident:]))
+    for a in (coef, rows):
+        a.flags.writeable = False
+    return coef, rows
 
 
 def _pauli_table(net, choices):
     """The real T[c_1..c_{n-1}, j_1..j_n] = <O_c x s_j1 x ... x s_jn>:
-    choices[j] lists the operators (None for identity) of intermediate
-    B_{j+1}, O_c is the product of the chosen ones and s_ji is Pauli j_i on
-    extreme A_i.
+    choices[j] lists the Pauli terms (_identity_terms or _grouping_terms)
+    of the operators of intermediate B_{j+1}, O_c is the product of the
+    chosen ones and s_ji is Pauli j_i on extreme A_i.
 
     Each intermediate operator is a sum of Pauli strings whose qubit i sits
     on source i, so with F_i[p, j] the Pauli coefficients of source i (p on
@@ -364,11 +387,10 @@ def _pauli_table(net, choices):
     """
     n = net.n
     sources = net._source_coefficients
-    terms = [[_pauli_terms(op, n) for op in ops] for ops in choices]
     shape = tuple(len(c) for c in choices)
     out = np.empty(shape + (4 ** (n - 1), 4))
     for idx in itertools.product(*map(range, shape)):
-        coefs, rows = zip(*(t[c] for t, c in zip(terms, idx)))
+        coefs, rows = zip(*(t[c] for t, c in zip(choices, idx)))
         # one flat axis k over the term tuples: gather each source's
         # coefficients at its Pauli indices, grow the outer product one
         # source at a time and sum the last source out with a matrix product
@@ -402,8 +424,9 @@ def nlocal_behavior(net, settings):
         raise ValueError("a behavior holds 4^(2n-1) probabilities: n = %d "
                          "exceeds the limit n <= %d" % (n, MAX_BEHAVIOR_N))
     p = 2 * n - 1
-    t = _pauli_table(net, [[None] + ops for ops in
-                           settings.intermediate_operators()])
+    t = _pauli_table(net, [[_identity_terms(n)]
+                           + [_grouping_terms(g) for g in pair]
+                           for pair in settings.intermediates])
     for pair in settings.extreme_operators():
         # Pauli coordinates Tr(E s_j) / 2 of I, A_0 and A_1
         rows = [_pauli_coefficients(e, 1) / 2 for e in [np.eye(2)] + pair]
@@ -421,8 +444,9 @@ def nlocal_transfers(net, settings):
     R[y_vec] a 2^n x 2^n operator such that the full correlator is
     sum_ab R[y_vec][a, b] * (A_{x_1} x ... x A_{x_n})[a, b].
     """
-    return _operators(_pauli_table(net, settings.intermediate_operators()),
-                      net.n)
+    choices = [[_grouping_terms(g) for g in pair]
+               for pair in settings.intermediates]
+    return _operators(_pauli_table(net, choices), net.n)
 
 
 def transfer_ivalues(n, transfers, ext_obs):
@@ -509,9 +533,9 @@ def swapped_state(net, settings, y, b_out, z, c_out):
     # the outcome projectors (I +- O)/2 are the only operators on B and C;
     # the table's one entry R is the unnormalized state, transposed since
     # R[a, b] pairs with observable entry [a, b]
-    pb, pc = ((np.eye(8) + (-1.0) ** out * partial_ghz_observable(g)) / 2
-              for g, out in ((settings.b[y], b_out), (settings.c[z], c_out)))
-    sub = _operators(_pauli_table(net, [[pb], [pc]]), 3)[0, 0].T
+    choices = [[_grouping_terms(settings.b[y], b_out)],
+               [_grouping_terms(settings.c[z], c_out)]]
+    sub = _operators(_pauli_table(net, choices), 3)[0, 0].T
     prob = float(np.real(np.trace(sub)))
     if prob < NULL_EVENT_TOL:
         raise ValueError("conditioning on a null event (probability %g)" % prob)

@@ -8,6 +8,7 @@ maxima the closed-form bounds describe; the plain behavior scores in the
 network module remain unrestricted.  `maximize_local` is unrestricted.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -15,10 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import families
-from .measurements import BlochObservable, GHZGrouping, partial_ghz_observable
+from .measurements import BlochObservable, GHZGrouping
 from .network import (NLocalSettings, SettingsBundle, TrilocalNetwork,
-                      ZERO_IVALUE_TOL, _best_pair, _pair_structure,
-                      _pauli_table, _restricted_score)
+                      ZERO_IVALUE_TOL, _best_pair, _grouping_terms,
+                      _pair_structure, _pauli_table, _restricted_score)
 
 
 class NoBracketError(RuntimeError):
@@ -51,6 +52,8 @@ class OptimizationResult:
     i_values: np.ndarray
     angles: np.ndarray
     evaluations: int
+    # end angles of the random restarts that ran, one row each
+    restart_ends: np.ndarray = ()
 
 
 @dataclass(frozen=True)
@@ -174,22 +177,27 @@ def _bfgs_update(ab, s, y, sy):
     return out
 
 
-def _multistart(objective, dim, cfg, rng, extra_starts=(), stop_above=None):
+def _multistart(objective, dim, cfg, rng, extra_starts=(), stop_above=None,
+                starts=None):
     """Best maximum of objective over one minimize run on its negation
-    from each of the extra starts and then each of cfg.restarts starts
-    drawn from rng (theta in [0, pi), phi in [0, 2 pi)).
+    from each of the extra starts and then from each of cfg.restarts
+    random starts: the given starts, or else starts drawn from rng (theta
+    in [0, pi), phi in [0, 2 pi)).  rng draws cfg.restarts starts either
+    way, so it advances the same.
 
     With stop_above set, returns right after the first restart that lifts
     the best value strictly above it: such a value already settles which
-    side of stop_above the full maximum lies on.  All cfg.restarts random
-    starts are drawn either way, so rng advances the same.
+    side of stop_above the full maximum lies on.
 
     objective returns (score, gradient); evals counts its calls, the total
-    of the restarts' nfev.
+    of the restarts' nfev.  Returns (best value, its angles, evals, ends),
+    ends the end angles of the random restarts that ran, one row each.
     """
-    starts = rng.uniform(0.0, np.pi, (cfg.restarts, dim))
-    starts[:, 1::2] *= 2.0
-    starts = [np.asarray(s, dtype=float) for s in extra_starts] + list(starts)
+    drawn = rng.uniform(0.0, np.pi, (cfg.restarts, dim))
+    drawn[:, 1::2] *= 2.0
+    if starts is None:
+        starts = drawn
+    first = [np.asarray(s, dtype=float) for s in extra_starts]
     evals = 0
 
     def wrapped(x):
@@ -199,13 +207,16 @@ def _multistart(objective, dim, cfg, rng, extra_starts=(), stop_above=None):
         return -score, -grad
 
     best_val = best_x = None
-    for x0 in starts:
+    ends = []
+    for i, x0 in enumerate(first + list(starts)):
         res = minimize(wrapped, x0, cfg.max_iterations, cfg.tolerance)
+        if i >= len(first):
+            ends.append(res.x)
         if best_x is None or -res.fun > best_val + 1e-15:
             best_val, best_x = -res.fun, res.x
         if stop_above is not None and best_val > stop_above:
             break
-    return best_val, best_x, evals
+    return best_val, best_x, evals, np.reshape(ends, (-1, dim))
 
 
 def _angles_to_bloch_pairs(angles):
@@ -251,7 +262,7 @@ def _correlations(net, groupings):
     d_n; C takes the n halvings, exactly since 2^n is a power of two.
     """
     n = net.n
-    table = _pauli_table(net, [[partial_ghz_observable(g) for g in pair]
+    table = _pauli_table(net, [[_grouping_terms(g) for g in pair]
                                for pair in groupings])
     xyz = table[(Ellipsis,) + (slice(1, None),) * n] / 2 ** n
     return xyz.reshape(2 ** (n - 1), 3 ** n).T
@@ -279,6 +290,27 @@ def _ivalues(corr, angles):
     return (prod @ corr).T, v, (st, ct, sp, cp)
 
 
+@functools.lru_cache(maxsize=None)
+def _gradient_index(n):
+    """Index tables (flat_at, rest_at) of the gradient for n parties.
+
+    dI/dv_p is C contracted with every party but p.  For each p and each
+    digit tuple j of the other parties: flat_at[p, i, j] is the index of
+    the outer product with digit i inserted at p, and rest_at[p, j] are
+    the flat (x/y/z, party) entries of v whose product is term j.  Both
+    depend on n only and are shared read-only.
+    """
+    rest = np.array(list(itertools.product(range(3), repeat=n - 1)))
+    place = 3 ** np.arange(n - 1, -1, -1)
+    others = np.array([[q for q in range(n) if q != p] for p in range(n)])
+    flat_at = np.array([np.arange(3)[:, None] * place[p]
+                        + rest @ place[others[p]] for p in range(n)])
+    rest_at = rest[None] * n + others[:, None, :]
+    for table in (flat_at, rest_at):
+        table.flags.writeable = False
+    return flat_at, rest_at
+
+
 def _objective(n, corr, coherent_mask, root, share_tail):
     """Score of 4n extreme angles on _correlations corr, with its gradient
     in the angles: _restricted_score of their _ivalues.
@@ -291,16 +323,7 @@ def _objective(n, corr, coherent_mask, root, share_tail):
     rows = corr.shape[1]
     pairs = _pair_structure(rows, coherent_mask, share_tail)
     inv_root = 1.0 / root
-    # dI/dv_p is C contracted with every party but p.  For each p and each
-    # digit tuple j of the other parties: flat_at[p, i, j] is the index of
-    # the outer product with digit i inserted at p, and rest_at[p, j] are
-    # the flat (x/y/z, party) entries of v whose product is term j
-    rest = np.array(list(itertools.product(range(3), repeat=n - 1)))
-    place = 3 ** np.arange(n - 1, -1, -1)
-    others = np.array([[q for q in range(n) if q != p] for p in range(n)])
-    flat_at = np.array([np.arange(3)[:, None] * place[p]
-                        + rest @ place[others[p]] for p in range(n)])
-    rest_at = rest[None] * n + others[:, None, :]
+    flat_at, rest_at = _gradient_index(n)
 
     def objective(angles):
         ivals, v, (st, ct, sp, cp) = _ivalues(corr, angles)
@@ -349,17 +372,18 @@ def _problem(net, groupings, restricted):
 
 
 def _optimize(net, groupings, cfg, restricted, rng, extra_starts=(),
-              stop_above=None):
+              stop_above=None, starts=None):
     """Multistart maximization; the result's settings are left to the
     caller, which knows the scenario's settings type.  rng is the start
-    stream of the calling search, created once from cfg.seed; extra_starts
-    and stop_above are passed to _multistart."""
+    stream of the calling search, created once from cfg.seed; extra_starts,
+    stop_above and starts are passed to _multistart, and its restarts' end
+    angles come back as restart_ends."""
     corr, mask, root, objective = _problem(net, groupings, restricted)
-    best, x, evals = _multistart(objective, 4 * net.n, cfg, rng,
-                                 extra_starts, stop_above)
+    best, x, evals, ends = _multistart(objective, 4 * net.n, cfg, rng,
+                                       extra_starts, stop_above, starts)
     ivals = _ivalues(corr, x)[0].reshape((2,) * net.n)
     _, t0, t1 = _restricted_score(ivals, mask, root, share_tail=restricted)
-    return OptimizationResult(best, None, t0, t1, ivals, x, evals)
+    return OptimizationResult(best, None, t0, t1, ivals, x, evals, ends)
 
 
 def maximize_trilocal(target, cfg=None, groupings=None):
@@ -429,15 +453,23 @@ def visibility_threshold(family, cfg=None, mode="joint"):
     depolarized and damped sources it takes 5 or 6, of which 2 inner
     points score at most 1.
 
-    Each inner point first restarts from the angles at the bracket end
-    whose score is above 1, then from random starts; all points draw
-    cfg.restarts random starts from one stream seeded with cfg.seed.  Only
-    the side of 1 matters, so every point, ends included, stops at its
-    first restart scoring above 1; a point at or below 1 runs every
-    restart.  Returns a ThresholdResult with bracket width at most 1e-4:
-    score_below is the best score at the bracket's end at or below 1,
-    score_above the first score above 1 found at its other end, which
-    certifies the violation but need not be the best score there.
+    Only the side of 1 matters, so every point, ends included, stops at
+    its first restart scoring above 1; a point at or below 1 runs every
+    restart.  Each inner point first restarts from the angles at the
+    bracket end whose score is above 1, then from cfg.restarts random
+    starts.  Up to the first inner point that runs every restart, these
+    are drawn from one stream seeded with cfg.seed.  Every later inner
+    point continues instead from where the random restarts of the last
+    inner point that ran every restart ended: those restarts converged on
+    a landscape only a noise step away, so a continued restart takes a few
+    evaluations where a fresh one takes 10-21.  Every point still draws
+    cfg.restarts starts from the stream, so where the stream stands at a
+    point does not depend on where earlier points stopped.
+
+    Returns a ThresholdResult with bracket width at most 1e-4: score_below
+    is the best score at the bracket's end at or below 1, score_above the
+    first score above 1 found at its other end, which certifies the
+    violation but need not be the best score there.
     """
     cfg = cfg or OptimizerConfig()
     if family not in _THRESHOLD_FAMILIES:
@@ -449,12 +481,12 @@ def visibility_threshold(family, cfg=None, mode="joint"):
     clean = families.family_state(family, {parameter: clean_value})
     rng = np.random.default_rng(cfg.seed)
 
-    def optimum(value, warm=()):
+    def optimum(value, warm=(), starts=None):
         noisy = families.family_state(family, {parameter: value})
         other = noisy if mode == "joint" else clean
         net = TrilocalNetwork.from_role_states(noisy, other, other)
         return _optimize(net, groupings, cfg, True, rng, warm,
-                         stop_above=1.0)
+                         stop_above=1.0, starts=starts)
 
     lo, hi = 0.0, 1.0
     r_lo, r_hi = optimum(lo), optimum(hi)
@@ -475,6 +507,9 @@ def visibility_threshold(family, cfg=None, mode="joint"):
 
     record(lo, r_lo)
     record(hi, r_hi)
+    # random starts of the next inner point: the end angles of the last
+    # inner point that ran every restart, or fresh draws before there is one
+    carried = None
     j = 0
     while hi - lo > 1e-4:
         width, mid = hi - lo, (lo + hi) / 2
@@ -496,7 +531,9 @@ def visibility_threshold(family, cfg=None, mode="joint"):
         if abs(x - mid) > radius:
             x = mid - toward_mid * radius
         violating = max(r_lo, r_hi, key=lambda r: r.score)
-        r_x = optimum(x, (violating.angles,))
+        r_x = optimum(x, (violating.angles,), carried)
+        if len(r_x.restart_ends) == cfg.restarts:
+            carried = r_x.restart_ends
         record(x, r_x)
         if (r_lo.score - 1.0) * (r_x.score - 1.0) <= 0:
             hi, r_hi = x, r_x

@@ -104,13 +104,15 @@ def test_acceptance_4_visibility_thresholds():
 def test_acceptance_4_thresholds_over_seeds_optional(monkeypatch, family,
                                                      target, restarts):
     """The threshold search lands on the closed form from every start
-    stream of seeds 0-19, in at most 9 maximizations each."""
+    stream of seeds 0-19, in at most 9 maximizations each, and its second
+    inner point at or below 1, which continues from the first, takes at
+    most half the first's evaluations."""
     calls = []
     real = optimize._optimize
 
     def counted(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(optimize, "_optimize", counted)
     for seed in range(20):
@@ -119,6 +121,8 @@ def test_acceptance_4_thresholds_over_seeds_optional(monkeypatch, family,
                                                            seed=seed))
         assert abs(res.critical_value - target) < 1e-3, (seed, res)
         assert len(calls) <= 9, (seed, len(calls))
+        below = [r.evaluations for r in calls[2:] if r.score <= 1.0]
+        assert len(below) >= 2 and 2 * below[1] <= below[0], (seed, below)
         assert res.score_below <= 1.0 + 1e-6
         assert res.score_above >= 1.0 - 1e-6
 

@@ -176,6 +176,15 @@ def test_lhv_check_near_grid_ends(tmp_path):
         assert abs(row["i1"] - (1 - r) ** 3) < 1e-12
 
 
+@pytest.mark.parametrize("spec", ["0:1:0", "0.2:0.8:-3"])
+def test_lhv_check_empty_grid_exits_2(tmp_path, capsys, spec):
+    # as an empty scan grid does, rather than report no rows
+    rc, out = run_cli(tmp_path, ["lhv-check", "--r-grid", spec])
+    assert rc == 2
+    assert not out.exists()
+    assert "empty --r-grid" in capsys.readouterr().err
+
+
 def test_swap_report(tmp_path):
     rc, out = run_cli(tmp_path, ["swap", "--family", "amplitude",
                                  "--gamma", "0.2"])
@@ -460,7 +469,7 @@ def test_threshold_reports_are_byte_identical_for_a_seed(tmp_path):
 
 def test_threshold_without_crossing_exits_3(monkeypatch, capsys):
     def below_one(net, groupings, cfg, restricted, rng, extra_starts=(),
-                  stop_above=None):
+                  stop_above=None, starts=None):
         return OptimizationResult(0.5, None, (0, 0), (0, 0), None,
                                   np.zeros(12), 0)
 

@@ -190,7 +190,8 @@ def test_source_coefficients_are_computed_once_per_network(monkeypatch):
     net = NLocalNetwork.from_states(3, [rho, rho, other])
     fresh = NLocalNetwork.from_states(3, [rho.copy(), rho.copy(), other])
     b1, b2, c1, c2 = table1_settings()
-    choices = [[None] + [partial_ghz_observable(g) for g in pair]
+    choices = [[network._identity_terms(3)]
+               + [network._grouping_terms(g) for g in pair]
                for pair in ((b1, b2), (c1, c2))]
     expected = network._pauli_table(fresh, choices)
     real = network._pauli_coefficients
@@ -311,6 +312,45 @@ def all_groupings(n):
 
 ANGLES = st.floats(0.0, 2 * np.pi)
 GROUPINGS = st.sampled_from(all_groupings(3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_projector_terms_match_their_transform(n):
+    """The outcome projectors' terms, derived from the observable's, are
+    those of the transformed (I +- O)/2, unbalanced groupings included."""
+    groupings = all_groupings(n)
+    if n == 4:
+        groupings = groupings[::997]
+    for g in groupings:
+        obs = partial_ghz_observable(g)
+        for outcome in (0, 1):
+            proj = (np.eye(2 ** n) + (-1.0) ** outcome * obs) / 2
+            coef = network._pauli_coefficients(proj, n) / 2 ** n
+            rows = np.argwhere(np.abs(coef) > network.PAULI_TERM_TOL)
+            got_coef, got_rows = network._grouping_terms(g, outcome)
+            assert np.array_equal(got_rows, rows)
+            assert np.abs(got_coef - coef[tuple(rows.T)]).max() <= 1e-15
+
+
+def test_swapped_states_transform_each_grouping_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    net = TrilocalNetwork.from_shared_state(random_density(rng, 8))
+    b1, b2, c1, c2 = table1_settings()
+    c1 = parse_grouping("000,001,011,111")
+    bundle = SettingsBundle(SX_PAIR, (b1, b2), (c1, c2), SX_PAIR, SX_PAIR)
+    network._grouping_terms.cache_clear()
+    real = network._pauli_coefficients
+    transformed = []
+
+    def coefficients(op, n):
+        transformed.append(op)
+        return real(op, n)
+
+    monkeypatch.setattr(network, "_pauli_coefficients", coefficients)
+    for y, b_out, z, c_out in itertools.product((0, 1), repeat=4):
+        swapped_state(net, bundle, y, b_out, z, c_out)
+    # one transform per distinct grouping and one for the shared source
+    assert len(transformed) == 5
 
 
 @settings(max_examples=8, deadline=None)

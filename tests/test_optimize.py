@@ -339,23 +339,30 @@ class StubOptimizer:
     twice the GHZ corner coherence of the noisy source, i.e. of eps for
     depolarized and of (1 - gamma)^(3/2) for damped sources.  The default,
     2^(1/3) times the coherence, crosses 1 at the closed-form thresholds.
-    Each call records its score, returned angles, warm starts, stop_above
-    and a draw from the search's start stream."""
+    Each call records its score, returned angles, warm starts, stop_above,
+    replacement starts and a draw from the search's start stream.  A point
+    at or below 1 runs every restart and returns cfg.restarts distinct end
+    angles; a point above 1 stops at its next-to-last random restart and
+    returns one end fewer."""
 
     def __init__(self, score=lambda coherence: np.cbrt(2.0) * coherence):
         self.score = score
         self.calls = []
 
     def __call__(self, net, groupings, cfg, restricted, rng, extra_starts=(),
-                 stop_above=None):
+                 stop_above=None, starts=None):
         score = self.score(2 * abs(net.source_states[0][0, 7]))
         angles = np.full(12, float(len(self.calls)))
+        ran = cfg.restarts if score <= 1.0 else cfg.restarts - 1
+        ends = (100.0 * len(self.calls) + np.arange(ran)[:, None]
+                + np.zeros(12))
         self.calls.append({"score": score, "angles": angles,
                            "warm": list(extra_starts),
-                           "stop_above": stop_above,
+                           "stop_above": stop_above, "starts": starts,
+                           "ends": ends,
                            "draw": rng.uniform(size=cfg.restarts)})
         return OptimizationResult(score, None, (0, 0), (0, 0), None, angles,
-                                  0)
+                                  0, ends)
 
 
 THRESHOLD_TARGETS = [("depolarized", 2.0 ** (-1 / 3)),
@@ -479,11 +486,12 @@ def test_threshold_points_stop_at_first_restart_above_one(monkeypatch):
     points = []
 
     def point(net, groupings, cfg, restricted, rng, extra_starts=(),
-              stop_above=None):
+              stop_above=None, starts=None):
         points.append({"starts": cfg.restarts + len(extra_starts),
                        "values": []})
         res = real_optimize(net, groupings, cfg, restricted, rng,
-                            extra_starts, stop_above=stop_above)
+                            extra_starts, stop_above=stop_above,
+                            starts=starts)
         points[-1]["score"] = res.score
         return res
 
@@ -506,6 +514,97 @@ def test_threshold_points_stop_at_first_restart_above_one(monkeypatch):
     # the stop saved restarts, and score_above is one of its certificates
     assert any(len(p["values"]) < p["starts"] for p in points)
     assert any(p["score"] == res.score_above for p in points)
+
+
+@pytest.mark.parametrize("mode", ["joint", "single"])
+@pytest.mark.parametrize("family, target", THRESHOLD_TARGETS)
+def test_threshold_points_continue_from_last_full_point(monkeypatch, family,
+                                                        target, mode):
+    """After the one warm start, an inner point restarts from the end
+    angles of the last inner point that ran every restart, and from fresh
+    draws before there is one; the ends never pass theirs on."""
+    stub = StubOptimizer()
+    monkeypatch.setattr(optimize, "_optimize", stub)
+    visibility_threshold(family, OptimizerConfig(restarts=3), mode)
+    ends, midpoints = stub.calls[:2], stub.calls[2:]
+    assert all(call["starts"] is None for call in ends)
+    carried = None
+    for call in midpoints:
+        assert len(call["warm"]) == 1
+        if carried is None:
+            assert call["starts"] is None
+        else:
+            assert np.array_equal(call["starts"], carried)
+        if len(call["ends"]) == 3:
+            carried = call["ends"]
+    # the power-law score puts 2 inner points at or below 1: the second
+    # continues from the first
+    below = [call for call in midpoints if call["score"] <= 1.0]
+    assert len(below) == 2
+    assert np.array_equal(below[1]["starts"], below[0]["ends"])
+
+
+def test_multistart_runs_warm_then_given_starts_and_draws_all(monkeypatch):
+    """Replacement starts run after the warm start in place of the drawn
+    ones, the stream still draws cfg.restarts starts, and only the random
+    restarts that ran hand back their end angles."""
+    runs = []
+
+    def fake_minimize(fun, x0, max_iterations, tolerance):
+        runs.append(np.array(x0))
+        value = float(x0[0])
+        return optimize.MinimizeResult(x0 + 0.5, -value, 1, 0)
+
+    monkeypatch.setattr(optimize, "minimize", fake_minimize)
+    cfg = OptimizerConfig(restarts=3, seed=9)
+
+    def objective(x):
+        return 0.0, np.zeros_like(x)
+
+    warm = np.full(4, 0.25)
+    given = np.arange(12.0).reshape(3, 4) / 10
+    rng, reference = (np.random.default_rng(9) for _ in range(2))
+    best, x, evals, ends = optimize._multistart(objective, 4, cfg, rng,
+                                                (warm,), starts=given)
+    assert np.array_equal(np.array(runs), np.vstack([warm, given]))
+    assert np.array_equal(ends, given + 0.5)
+    assert best == 0.8 and np.array_equal(x, given[2] + 0.5)
+    reference.uniform(0.0, np.pi, (3, 4))
+    assert rng.random() == reference.random()
+    # the stop after a restart above 0.35 leaves the third start unrun
+    runs.clear()
+    _, _, _, ends = optimize._multistart(objective, 4, cfg, rng, (warm,),
+                                         stop_above=0.35, starts=given)
+    assert len(runs) == 3
+    assert np.array_equal(ends, given[:2] + 0.5)
+
+
+def test_threshold_continued_point_is_cheap(monkeypatch):
+    """On a real depolarized search, every point draws cfg.restarts starts
+    from the stream, and the second inner point at or below 1, which
+    continues from the first, takes at most half its evaluations."""
+    cfg = OptimizerConfig(restarts=3, seed=5)
+    real = optimize._optimize
+    points = []
+
+    def point(net, groupings, cfg_, restricted, rng, extra_starts=(),
+              stop_above=None, starts=None):
+        state = rng.bit_generator.state
+        res = real(net, groupings, cfg_, restricted, rng, extra_starts,
+                   stop_above=stop_above, starts=starts)
+        replay = np.random.default_rng()
+        replay.bit_generator.state = state
+        replay.uniform(0.0, np.pi, (cfg_.restarts, 12))
+        assert replay.bit_generator.state == rng.bit_generator.state
+        points.append(res)
+        return res
+
+    monkeypatch.setattr(optimize, "_optimize", point)
+    res = visibility_threshold("depolarized", cfg)
+    assert abs(res.critical_value - 2.0 ** (-1 / 3)) < 1e-3
+    below = [p for p in points[2:] if p.score <= 1.0]
+    assert len(below) >= 2
+    assert 2 * below[1].evaluations <= below[0].evaluations
 
 
 def test_threshold_is_deterministic():
