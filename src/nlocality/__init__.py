@@ -17,8 +17,8 @@ from .measurements import (BlochObservable, GHZGrouping, balanced_groupings,
 from .network import (Behavior, IValue, NLocalNetwork, NLocalSettings,
                       ScoreReport, SettingsBundle, TrilocalNetwork, assemble,
                       behavior, i_value, ivalue_table, local_score,
-                      nlocal_behavior, nlocal_i_value, nlocal_local_score,
-                      nlocal_score, swapped_state, trilocal_score)
+                      nlocal_behavior, nlocal_score, swapped_state,
+                      trilocal_score)
 from .optimize import (NoBracketError, OptimizationResult, OptimizerConfig,
                        ThresholdResult, default_nlocal_groupings,
                        maximize_local, maximize_nlocal, maximize_trilocal,

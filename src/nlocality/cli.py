@@ -2,12 +2,14 @@
 
 Subcommands: violation, scan, threshold, swap, lhv-check, nlocal.
 Reports are JSON objects {version, config, results, timings}; scans can
-also be emitted as CSV.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+also be emitted as CSV.  A --config file's fields are checked once, each
+against the parser action of its flag.  Exit codes: 0 success,
+2 configuration error, 3 numerical failure.
 """
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -21,8 +23,9 @@ from .analysis import (bell_evaluate, negativity, parse_bell_functional,
                        separability_check, tripartite_behavior)
 from .lhv import appendix_b_responses, product_ivalues
 from .measurements import BlochObservable, parse_grouping
-from .network import (SUPPORTED_N, NLocalNetwork, SettingsBundle,
-                      TrilocalNetwork, _restricted_score, swapped_state)
+from .network import (SUPPORTED_N, NLocalNetwork, NullEventError,
+                      SettingsBundle, TrilocalNetwork, _restricted_score,
+                      swapped_state)
 from .optimize import (_THRESHOLD_FAMILIES, NoBracketError, OptimizerConfig,
                        _correlations, _ivalues, maximize_nlocal,
                        maximize_trilocal, visibility_threshold)
@@ -94,7 +97,9 @@ def build_parser():
 
     p = sub.add_parser("threshold", help="locate a noise threshold")
     _add_common(p)
-    _add_family(p)
+    # the search sets the family's noise parameter itself
+    p.add_argument("--family", choices=tuple(_THRESHOLD_FAMILIES),
+                   default=None)
     p.add_argument("--mode", choices=("joint", "single"), default=None)
 
     p = sub.add_parser("swap", help="conditional swapped-state diagnostics")
@@ -125,23 +130,60 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _config_actions(command):
+    """command's parser actions by dest: the fields a config file may set."""
+    commands, = (a for a in build_parser()._actions if a.dest == "command")
+    return {a.dest: a for a in commands.choices[command]._actions
+            if a.dest not in ("help", "config")}
+
+
+# a flag's type: the JSON values a config file may give for it, and their name
+_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+          None: (str, "a string")}
+
+
+def _config_value(action, value):
+    """A config file's value for action's flag, checked as a value that
+    flag could have given (a number of a float flag becomes a float)."""
+    is_list = isinstance(value, list) and all(isinstance(s, str)
+                                              for s in value)
+    if action.nargs == 0:  # store_true
+        fits, want = isinstance(value, bool), "true or false"
+    elif action.nargs == 2:
+        fits = is_list and len(value) == 2
+        want = "a list of two %s strings" % action.metavar.lower()
+    elif isinstance(action, argparse._AppendAction):
+        fits = is_list and len(value) > 0
+        want = "a list of %s strings" % action.metavar
+    else:
+        kinds, want = _TYPES[action.type]
+        fits = isinstance(value, kinds) and not isinstance(value, bool)
+    if action.choices is not None:
+        fits = fits and value in action.choices
+        want = "one of " + ", ".join(map(str, action.choices))
+    if not fits:
+        raise ConfigError("%s must be %s, not %r" % (action.dest, want, value))
+    return float(value) if action.type is float else value
+
+
 def _merge_config(args):
-    """File config as base, command-line flags override, defaults last."""
+    """File config as base, each value checked against its flag's action;
+    command-line flags override."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         cfg = _read_file(args.config, "config file", json.loads)
         if not isinstance(cfg, dict):
             raise ConfigError("config file must contain an object")
-    names = set(vars(args)) - {"config", "command"}
-    unknown = set(cfg) - names
+    actions = _config_actions(args.command)
+    unknown = set(cfg) - set(actions)
     if unknown:
         raise ConfigError("unknown config fields for %s: %s"
                           % (args.command, sorted(unknown)))
-    merged = dict(cfg)
-    for key, value in vars(args).items():
-        if key in ("config",) or value is None:
-            continue
-        merged[key] = value
+    merged = {key: _config_value(actions[key], value)
+              for key, value in cfg.items()}
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key != "config" and value is not None)
     return merged
 
 
@@ -155,65 +197,22 @@ def _read_file(path, what, parse):
         raise ConfigError("cannot read %s: %s" % (what, exc))
 
 
-def _integer(opts, key, default):
-    value = opts.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError("%s must be an integer, not %r" % (key, value))
-    return value
-
-
-def _number(opts, key, default):
-    value = opts.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError("%s must be a number, not %r" % (key, value))
-    return float(value)
-
-
-def _string(opts, key):
-    value = opts.get(key)
-    if value is not None and not isinstance(value, str):
-        raise ConfigError("%s must be a string, not %r" % (key, value))
-    return value
-
-
-def _boolean(opts, key, default):
-    value = opts.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError("%s must be true or false, not %r" % (key, value))
-    return value
-
-
-def _choice(opts, key, choices, default):
-    value = opts.get(key, default)
-    if value not in choices:
-        raise ConfigError("%s must be one of %s, not %r"
-                          % (key, ", ".join(choices), value))
-    return value
-
-
 def _optimizer_config(opts):
-    return OptimizerConfig(
-        restarts=_integer(opts, "restarts", 50),
-        max_iterations=_integer(opts, "max_iterations", 2000),
-        tolerance=_number(opts, "tolerance", 1e-9),
-        seed=_integer(opts, "seed", 0),
-        workers=_integer(opts, "workers", 1))
+    return OptimizerConfig(**{f.name: opts[f.name]
+                              for f in dataclasses.fields(OptimizerConfig)
+                              if f.name in opts})
 
 
 def _family_name(opts):
-    family = opts.get("family")
-    if not family:
+    if "family" not in opts:
         raise ConfigError("--family is required")
-    if not isinstance(family, str) or family not in families.FAMILY_PARAMS:
-        raise ConfigError("unknown family %r" % (family,))
-    return family
+    return opts["family"]
 
 
 def _given_params(opts, family):
-    """The parameters of family that opts sets, as floats."""
-    return {name: _number(opts, name, None)
-            for name in families.FAMILY_PARAMS.get(family, ())
-            if opts.get(name) is not None}
+    """The parameters of family that opts sets."""
+    return {name: opts[name] for name in families.FAMILY_PARAMS.get(family, ())
+            if name in opts}
 
 
 def _family_point(opts):
@@ -225,12 +224,10 @@ def _family_point(opts):
 
 
 def _resolved_config(opts, cfg, extra=None):
-    out = {"seed": cfg.seed, "restarts": cfg.restarts,
-           "max_iterations": cfg.max_iterations, "tolerance": cfg.tolerance,
-           "workers": cfg.workers}
-    for key in ("family", "command", "format", "mode", "settings"):
-        if opts.get(key) is not None:
-            out[key] = opts[key]
+    out = dataclasses.asdict(cfg)
+    out.update((key, opts[key]) for key in
+               ("family", "command", "format", "mode", "settings")
+               if key in opts)
     out.update(_given_params(opts, opts.get("family")))
     if extra:
         out.update(extra)
@@ -257,22 +254,29 @@ def _bundle_json(bundle):
 
 
 def _bundle_from_json(doc):
-    known = {"a", "b", "c", "d", "t"}
-    extra = set(doc) - known
+    """The SettingsBundle of a settings file's JSON document: an object
+    giving each party a list of its two settings."""
+    if not isinstance(doc, dict):
+        raise ConfigError("malformed settings file: want an object with "
+                          "fields a, b, c, d, t, not %r" % (doc,))
+    extra = set(doc) - set("abcdt")
     if extra:
         raise ConfigError("unknown settings fields: %s" % sorted(extra))
 
-    def angles(key):
-        return tuple(BlochObservable(float(t), float(p)) for t, p in doc[key])
+    def two(key):
+        value = doc.get(key)
+        if not isinstance(value, list) or len(value) != 2:
+            raise ConfigError("malformed settings file: %s must list two "
+                              "settings, not %r" % (key, value))
+        parse = parse_grouping if key in "bc" else (
+            lambda angles: BlochObservable(*map(float, angles)))
+        try:
+            return tuple(map(parse, value))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError("malformed settings file: %s %r: %s"
+                              % (key, value, exc))
 
-    def groupings(key):
-        return tuple(parse_grouping(s) for s in doc[key])
-
-    try:
-        return SettingsBundle(a=angles("a"), b=groupings("b"),
-                              c=groupings("c"), d=angles("d"), t=angles("t"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("malformed settings file: %s" % exc)
+    return SettingsBundle(*map(two, "abcdt"))
 
 
 def _ivalue_rows(table):
@@ -289,10 +293,10 @@ def _scores(table):
 def cmd_violation(opts):
     family, params, state = _family_point(opts)
     cfg = _optimizer_config(opts)
-    settings_mode = _choice(opts, "settings", SETTINGS_MODES, "optimize")
+    settings_mode = opts.get("settings", "optimize")
     result = {}
     if settings_mode == "file":
-        path = _string(opts, "settings_file")
+        path = opts.get("settings_file")
         if not path:
             raise ConfigError("--settings-file is required with "
                               "--settings file")
@@ -346,26 +350,23 @@ def cmd_scan(opts):
     specs = opts.get("grid")
     if not specs:
         raise ConfigError("at least one --grid is required")
-    if not isinstance(specs, list) or not all(isinstance(spec, str)
-                                              for spec in specs):
-        raise ConfigError("grid must be a list of NAME=START:STOP:STEPS "
-                          "strings, not %r" % (specs,))
-    axes = []
+    axes = {}
     for spec in specs:
         name, start, stop, steps = _parse_grid_spec(spec)
         if name not in families.FAMILY_PARAMS[family]:
             raise ConfigError("parameter %r not in family %r" % (name, family))
+        if name in axes:
+            raise ConfigError("parameter %r is in two grids" % name)
         if steps < 1:
             raise ConfigError("empty grid for %r" % name)
-        axes.append((name, np.linspace(start, stop, steps)))
-    names = [name for name, _ in axes]
+        axes[name] = np.linspace(start, stop, steps)
     fixed = {name: value for name, value in _given_params(opts, family).items()
-             if name not in names}
+             if name not in axes}
     rows = []
     evaluations = 0
     # the first --grid varies slowest
-    for point in itertools.product(*(values for _, values in axes)):
-        params = dict(fixed, **dict(zip(names, map(float, point))))
+    for point in itertools.product(*axes.values()):
+        params = dict(fixed, **dict(zip(axes, map(float, point))))
         opt = maximize_trilocal((family, params), cfg)
         evaluations += opt.evaluations
         row = dict(params)
@@ -381,11 +382,8 @@ def cmd_scan(opts):
 
 def cmd_threshold(opts):
     family = _family_name(opts)
-    if family not in _THRESHOLD_FAMILIES:
-        raise ConfigError("threshold families: %s"
-                          % ", ".join(_THRESHOLD_FAMILIES))
     cfg = _optimizer_config(opts)
-    mode = opts.get("mode", "joint") or "joint"
+    mode = opts.get("mode", "joint")
     res = visibility_threshold(family, cfg, mode=mode)
     result = {"family": family, "parameter": res.parameter,
               "critical_value": res.critical_value,
@@ -396,37 +394,24 @@ def cmd_threshold(opts):
     return _report(config, [result], {})
 
 
-def _grouping_pair(opts, key, default):
-    """The groupings of the two literals in opts[key], or default if unset;
-    a config file can hold any JSON value there."""
-    value = opts.get(key)
-    if value is None:
-        return default
-    if (not isinstance(value, list) or len(value) != 2
-            or not all(isinstance(s, str) for s in value)):
-        raise ConfigError("%s must be a list of two grouping strings, not %r"
-                          % (key, value))
-    return tuple(parse_grouping(s) for s in value)
-
-
 def cmd_swap(opts):
     family, params, state = _family_point(opts)
     cfg = _optimizer_config(opts)
     net = TrilocalNetwork.from_shared_state(state)
     b_pair, c_pair = families.family_groupings(family)
-    allow_unbalanced = _boolean(opts, "allow_unbalanced", False)
-    b_pair = _grouping_pair(opts, "b_groupings", b_pair)
-    c_pair = _grouping_pair(opts, "c_groupings", c_pair)
-    for g in tuple(b_pair) + tuple(c_pair):
-        if not g.is_balanced() and not allow_unbalanced:
+    if "b_groupings" in opts:
+        b_pair = tuple(map(parse_grouping, opts["b_groupings"]))
+    if "c_groupings" in opts:
+        c_pair = tuple(map(parse_grouping, opts["c_groupings"]))
+    for g in b_pair + c_pair:
+        if not g.is_balanced() and not opts.get("allow_unbalanced"):
             raise ConfigError("unbalanced grouping %r requires "
                               "--allow-unbalanced" % g.to_string())
     probe = BlochObservable(0.0, 0.0)
-    bundle = SettingsBundle(a=(probe, probe), b=tuple(b_pair),
-                            c=tuple(c_pair), d=(probe, probe),
-                            t=(probe, probe))
+    bundle = SettingsBundle(a=(probe, probe), b=b_pair, c=c_pair,
+                            d=(probe, probe), t=(probe, probe))
     functional = None
-    path = _string(opts, "functional")
+    path = opts.get("functional")
     if path:
         functional = _read_file(path, "functional file",
                                 parse_bell_functional)
@@ -438,7 +423,7 @@ def cmd_swap(opts):
         row = {"y": y, "b": b_out, "z": z, "c": c_out}
         try:
             chi, prob = swapped_state(net, bundle, y, b_out, z, c_out)
-        except ValueError:
+        except NullEventError:
             rows.append(dict(row, probability=0.0, null_event=True))
             continue
         sep = separability_check(chi)
@@ -468,7 +453,7 @@ def cmd_swap(opts):
 
 def cmd_lhv_check(opts):
     cfg = _optimizer_config(opts)
-    spec = _string(opts, "r_grid") or "0:1:21"
+    spec = opts.get("r_grid") or "0:1:21"
     try:
         start, stop, steps = spec.split(":")
         start, stop, steps = float(start), float(stop), int(steps)
@@ -492,10 +477,8 @@ def cmd_lhv_check(opts):
 
 def cmd_nlocal(opts):
     cfg = _optimizer_config(opts)
-    n = _integer(opts, "n", 3)
+    n = opts.get("n", 3)
     epsilon = opts.get("epsilon")
-    if epsilon is not None:
-        epsilon = _number(opts, "epsilon", None)
 
     def source():
         g = ghz_n_state(n)
@@ -581,14 +564,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         opts = _merge_config(args)
-        opts["command"] = args.command
-        fmt = _choice(opts, "format", FORMATS, "json")
-        path = _string(opts, "output")
-        _emit(_COMMANDS[args.command](opts), fmt, path)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except ValueError as exc:
+        _emit(_COMMANDS[args.command](opts), opts.get("format", "json"),
+              opts.get("output"))
+    except (ConfigError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except NoBracketError as exc:

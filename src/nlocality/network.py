@@ -129,40 +129,32 @@ class ScoreReport:
     root: int
 
 
-def correlator_table(behavior):
-    """Full correlators <prod (-1)^outcome> for every setting tuple."""
-    p = behavior.num_parties
-    table = behavior.probabilities.reshape(2 ** p, 2 ** p)
-    signs = np.array([(-1.0) ** bin(o).count("1") for o in range(2 ** p)])
-    return (table @ signs).reshape((2,) * p)
+def _parity_signs(bits):
+    """(-1)^(number of ones) of every bits-bit integer, in order."""
+    return np.array([(-1.0) ** bin(x).count("1") for x in range(2 ** bits)])
 
 
 def ivalue_table(behavior):
     """I-values indexed by intermediate setting tuple then parity bit k.
 
     I_{i_vec, k} = (1/2^n) sum over extreme settings of
-    (-1)^(k * sum of extreme settings) * correlator.
+    (-1)^(k * sum of extreme settings) * <prod (-1)^outcome>.
     """
-    corr = correlator_table(behavior)
+    p = behavior.num_parties
+    table = behavior.probabilities.reshape(2 ** p, 2 ** p)
+    corr = (table @ _parity_signs(p)).reshape((2,) * p)
     n_ext = len(behavior.extreme_parties)
     order = list(behavior.extreme_parties) + list(behavior.intermediate_parties)
-    corr = np.transpose(corr, order)
-    flat = corr.reshape(2 ** n_ext, -1)
-    signs = np.array([(-1.0) ** bin(x).count("1") for x in range(2 ** n_ext)])
+    flat = np.transpose(corr, order).reshape(2 ** n_ext, -1)
     i0 = flat.sum(axis=0) / 2 ** n_ext
-    i1 = (signs @ flat) / 2 ** n_ext
+    i1 = (_parity_signs(n_ext) @ flat) / 2 ** n_ext
     shape = (2,) * len(behavior.intermediate_parties)
     return np.stack([i0.reshape(shape), i1.reshape(shape)], axis=-1)
 
 
-def nlocal_i_value(behavior_, indices, k):
-    table = ivalue_table(behavior_)
-    return IValue(tuple(indices), k, float(table[tuple(indices) + (k,)]))
-
-
 def i_value(behavior, i1, i2, k):
     """Single trilocal I-value I_{i1, i2, k}."""
-    return nlocal_i_value(behavior, (i1, i2), k)
+    return IValue((i1, i2), k, float(ivalue_table(behavior)[i1, i2, k]))
 
 
 def _pair_structure(rows, coherent_mask, share_tail):
@@ -236,7 +228,6 @@ def local_score(behavior):
 
 
 nlocal_score = trilocal_score
-nlocal_local_score = local_score
 
 
 def _behavior_from_expectations(expect, p):
@@ -386,6 +377,14 @@ def _pauli_table(net, choices):
     sum over term tuples of prod_j coef_j * outer_i F_i[p_(1,i)..p_(n-1,i)].
     """
     n = net.n
+    if len(choices) != n - 1:
+        raise ValueError("%d grouping pairs on a network of n = %d, not "
+                         "n - 1 = %d" % (len(choices), n, n - 1))
+    for terms in choices:
+        for _, rows in terms:
+            if rows.shape[1] != n:
+                raise ValueError("a grouping of n = %d on a network of n = %d"
+                                 % (rows.shape[1], n))
     sources = net._source_coefficients
     shape = tuple(len(c) for c in choices)
     out = np.empty(shape + (4 ** (n - 1), 4))
@@ -463,9 +462,8 @@ def transfer_ivalues(n, transfers, ext_obs):
         t = np.tensordot(t, ext_obs[i], axes=([n - 1, 2 * n - 1 - i], [1, 2]))
     corr = np.real(t)
     flat = corr.reshape(-1, 2 ** n)
-    signs = np.array([(-1.0) ** bin(x).count("1") for x in range(2 ** n)])
     i0 = flat.sum(axis=1) / 2 ** n
-    i1 = (flat @ signs) / 2 ** n
+    i1 = (flat @ _parity_signs(n)) / 2 ** n
     shape = (2,) * (n - 1)
     return np.stack([i0.reshape(shape), i1.reshape(shape)], axis=-1)
 
@@ -525,6 +523,10 @@ def behavior(net, settings):
                     TRILOCAL_INTERMEDIATES)
 
 
+class NullEventError(ValueError):
+    """A swapped state conditioned on an event of probability zero."""
+
+
 def swapped_state(net, settings, y, b_out, z, c_out):
     """Conditional state of (A, D, T) given intermediate settings/outcomes.
 
@@ -538,7 +540,8 @@ def swapped_state(net, settings, y, b_out, z, c_out):
     sub = _operators(_pauli_table(net, choices), 3)[0, 0].T
     prob = float(np.real(np.trace(sub)))
     if prob < NULL_EVENT_TOL:
-        raise ValueError("conditioning on a null event (probability %g)" % prob)
+        raise NullEventError("conditioning on a null event (probability %g)"
+                             % prob)
     return sub / prob, prob
 
 

@@ -65,12 +65,6 @@ class ThresholdResult:
     score_above: float
 
 
-def angles_to_observables(angles):
-    """Stack Bloch matrices: angles (theta, phi) pairs -> (k, 2, 2, 2)."""
-    return np.array([[o.matrix() for o in pair]
-                     for pair in _angles_to_bloch_pairs(angles)])
-
-
 @dataclass(frozen=True)
 class MinimizeResult:
     x: np.ndarray

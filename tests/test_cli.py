@@ -1,11 +1,16 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nlocality
 from nlocality import families, optimize
 from nlocality.analysis import (bell_evaluate, mermin_functional,
                                 tripartite_behavior)
@@ -17,6 +22,8 @@ from nlocality.network import (SettingsBundle, TrilocalNetwork,
 from nlocality.optimize import OptimizationResult
 
 BALANCED = "000,001,010,100|011,101,110,111"
+ALL_FAMILIES = ("amplitude, biseparable, depolarized, gghz, ghz-symmetric, "
+                "phase")
 SETTINGS = {"a": [[0.3, 1.1], [2.0, 0.4]], "d": [[1.2, 2.5], [0.7, 5.0]],
             "t": [[2.8, 0.2], [1.5, 3.3]],
             "b": [BALANCED, "000,001,110,111|010,011,100,101"],
@@ -69,6 +76,44 @@ def test_violation_settings_file_roundtrip(tmp_path):
     assert rc2 == 0
     replay = json.loads(out2.read_text())["results"][0]
     assert abs(replay["trilocal_score_all_tuples"] - row["score"]) < 1e-9
+
+
+FOUR_BIT = "0000,0001,0010,0011,0100,0101,0110,0111"
+
+
+@pytest.mark.parametrize("doc, message", [
+    (5, "want an object with fields a, b, c, d, t, not 5"),
+    (None, "want an object with fields a, b, c, d, t, not None"),
+    ("x", "want an object with fields a, b, c, d, t, not 'x'"),
+    (dict(SETTINGS, a=[[0.3, 1.1]]), "a must list two settings"),
+    (dict(SETTINGS, t=[[0.3, 1.1]] * 3), "t must list two settings"),
+    ({k: v for k, v in SETTINGS.items() if k != "c"},
+     "c must list two settings, not None"),
+    (dict(SETTINGS, d=[[0.3, 1.1, 2.0], [0.3, 1.1]]), "d [[0.3, 1.1, 2.0]"),
+    (dict(SETTINGS, b=[5, BALANCED]), "b [5, "),
+], ids=["number", "null", "string", "one-pair", "three-pairs",
+        "missing-party", "three-angles", "number-grouping"])
+def test_malformed_settings_files_exit_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["violation", "--family", "gghz", "--alpha", "0.5",
+                 "--settings", "file", "--settings-file", str(path)]) == 2
+    assert ("error: malformed settings file: " + message
+            in capsys.readouterr().err)
+
+
+def test_groupings_of_the_wrong_size_exit_2(tmp_path, capsys):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(dict(SETTINGS, b=[FOUR_BIT, BALANCED])))
+    assert main(["violation", "--family", "gghz", "--alpha", "0.5",
+                 "--settings", "file", "--settings-file", str(path)]) == 2
+    assert "grouping of n = 4 on a network of n = 3" in capsys.readouterr().err
+    for pair, n in (([FOUR_BIT] * 2, 4), (["00,11", "01,10"], 2)):
+        assert main(["swap", "--family", "gghz", "--alpha", "0.5",
+                     "--b-groupings"] + pair) == 2
+        assert ("grouping of n = %d on a network of n = 3" % n
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("args", [
@@ -301,7 +346,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # the supported network sizes bind a config file too
     cfg.write_text(json.dumps({"n": 9}))
     assert main(["nlocal", "--config", str(cfg)]) == 2
-    assert "supported network sizes" in capsys.readouterr().err
+    assert ("n must be one of 2, 3, 4, 5, 6, 7, 8, not 9"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -310,10 +356,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ({"family": "gghz", "grid": [3]},
      "grid must be a list of NAME=START:STOP:STEPS strings"),
     ({"family": "nosuch", "grid": ["alpha=0:1:2"]},
-     "unknown family 'nosuch'"),
+     "family must be one of %s, not 'nosuch'" % ALL_FAMILIES),
     ({"family": ["gghz"], "grid": ["alpha=0:1:2"]},
-     "unknown family ['gghz']"),
-], ids=["string-grid", "number-in-grid", "unknown-family", "list-family"])
+     "family must be one of %s, not ['gghz']" % ALL_FAMILIES),
+    ({"family": "gghz", "grid": ["alpha=0.2:0.4:2", "alpha=0.5:0.6:2"]},
+     "parameter 'alpha' is in two grids"),
+], ids=["string-grid", "number-in-grid", "unknown-family", "list-family",
+        "parameter-in-two-grids"])
 def test_scan_config_errors_name_the_fault(tmp_path, capsys, fields,
                                            message):
     cfg = tmp_path / "cfg.json"
@@ -324,8 +373,10 @@ def test_scan_config_errors_name_the_fault(tmp_path, capsys, fields,
 
 
 @pytest.mark.parametrize("family, message", [
-    (["gghz"], "unknown family ['gghz']"),
-    ("gghz", "threshold families: depolarized, amplitude, phase"),
+    (["gghz"], "family must be one of depolarized, amplitude, phase, "
+               "not ['gghz']"),
+    ("gghz", "family must be one of depolarized, amplitude, phase, "
+             "not 'gghz'"),
 ], ids=["list-family", "no-noise-parameter"])
 def test_threshold_config_family_errors_exit_2(tmp_path, capsys, family,
                                                message):
@@ -405,6 +456,63 @@ def test_config_values_get_their_flags_checks(tmp_path, capsys, args,
     assert main(args + ["--config", str(cfg),
                         "--output", str(tmp_path / "out.json")]) == 2
     assert message in capsys.readouterr().err
+
+
+def _config_actions():
+    """(command, action) for every flag of every subcommand."""
+    commands, = (a for a in build_parser()._actions if a.dest == "command")
+    return [(command, action) for command, sub in commands.choices.items()
+            for action in sub._actions if action.dest != "help"]
+
+
+def _wrong_value(action):
+    """A JSON value of the wrong type for action's flag."""
+    if action.nargs == 0:
+        return 1                        # not true or false
+    if action.nargs == 2:
+        return BALANCED                 # not a list of two
+    if isinstance(action, argparse._AppendAction):
+        return "alpha=0:1:2"            # not a list
+    return {int: 1.5, float: "0.5", None: 5}[action.type]
+
+
+@pytest.mark.parametrize("command, action", _config_actions(),
+                         ids=lambda x: getattr(x, "dest", x))
+def test_every_config_field_gets_its_flags_check(tmp_path, capsys, command,
+                                                 action):
+    cfg = tmp_path / "cfg.json"
+    for value in (_wrong_value(action), None):
+        cfg.write_text(json.dumps({action.dest: value}))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        if action.dest == "config":
+            assert "unknown config fields for %s: ['config']" % command in err
+        else:
+            assert err.startswith("error: %s must be " % action.dest)
+            assert err.endswith(", not %r\n" % (value,))
+
+
+def test_threshold_takes_no_family_parameters(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--family", "depolarized", "--epsilon", "0.3"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "depolarized", "epsilon": 0.3}))
+    capsys.readouterr()
+    assert main(["threshold", "--config", str(cfg)]) == 2
+    assert "unknown config fields for threshold: ['epsilon']" in (
+        capsys.readouterr().err)
+
+
+def test_import_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(nlocality.__file__))
+    code = ("import nlocality.cli as cli; "
+            "print(cli.build_parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.split() == ["0"]
 
 
 @pytest.mark.parametrize("flags, fields", [

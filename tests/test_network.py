@@ -23,7 +23,8 @@ from nlocality.network import (Behavior, NLocalNetwork, NLocalSettings,
                                nlocal_score, nlocal_transfers, swapped_state,
                                transfer_ivalues, trilocal_score)
 from nlocality.optimize import (OptimizerConfig, default_nlocal_groupings,
-                                maximize_trilocal, visibility_threshold)
+                                maximize_nlocal, maximize_trilocal,
+                                visibility_threshold)
 from nlocality.states import depolarized_ghz, gghz_state, ghz_n_state
 
 SX_PAIR = (BlochObservable(np.pi / 2, 0.0), BlochObservable(np.pi / 2, 0.0))
@@ -138,6 +139,37 @@ def test_swapped_state_null_event_raises():
     bundle = SettingsBundle(SX_PAIR, (g, g), (g, g), SX_PAIR, SX_PAIR)
     with pytest.raises(ValueError):
         swapped_state(net, bundle, 0, 1, 0, 1)
+
+
+# groupings whose size is not the network's: n = 4 and n = 2 pairs, and
+# three n = 3 pairs where the n = 3 network has two intermediates
+WRONG_SIZE_GROUPINGS = {
+    "n4": (default_nlocal_groupings(4)[:2], "grouping of n = 4"),
+    "n2": (default_nlocal_groupings(2) * 2, "grouping of n = 2"),
+    "three-pairs": (default_nlocal_groupings(3) + default_nlocal_groupings(3)
+                    [:1], "3 grouping pairs on a network of n = 3"),
+}
+
+
+@pytest.mark.parametrize("groupings, message",
+                         WRONG_SIZE_GROUPINGS.values(),
+                         ids=WRONG_SIZE_GROUPINGS.keys())
+def test_groupings_of_the_wrong_size_are_rejected(groupings, message):
+    net = NLocalNetwork.from_states(3, [MIXED8] * 3)
+    settings = NLocalSettings((SX_PAIR,) * 3, groupings)
+    with pytest.raises(ValueError, match=message):
+        nlocal_behavior(net, settings)
+    with pytest.raises(ValueError, match=message):
+        nlocal_transfers(net, settings)
+    with pytest.raises(ValueError, match=message):
+        maximize_nlocal(net, OptimizerConfig(restarts=1), groupings)
+    if len(groupings) == 2:
+        bundle = SettingsBundle(SX_PAIR, groupings[0], groupings[1], SX_PAIR,
+                                SX_PAIR)
+        with pytest.raises(ValueError, match=message):
+            behavior(net, bundle)
+        with pytest.raises(ValueError, match=message):
+            swapped_state(net, bundle, 0, 0, 0, 0)
 
 
 def test_nlocal_network_validation():

@@ -15,13 +15,19 @@ from nlocality.network import (NLocalNetwork, NLocalSettings,
                                TrilocalNetwork, _restricted_score,
                                nlocal_transfers, transfer_ivalues)
 from nlocality.optimize import (NoBracketError, OptimizationResult,
-                                OptimizerConfig, _problem,
-                                angles_to_observables,
-                                default_nlocal_groupings, maximize_local,
-                                maximize_nlocal, maximize_trilocal, minimize,
+                                OptimizerConfig, _angles_to_bloch_pairs,
+                                _problem, default_nlocal_groupings,
+                                maximize_local, maximize_nlocal,
+                                maximize_trilocal, minimize,
                                 visibility_threshold)
 from nlocality.states import ghz_n_state
 from test_network import enumerated_score
+
+
+def angles_to_observables(angles):
+    """Stack Bloch matrices: angles (theta, phi) pairs -> (k, 2, 2, 2)."""
+    return np.array([[o.matrix() for o in pair]
+                     for pair in _angles_to_bloch_pairs(angles)])
 
 
 def test_config_validation():
